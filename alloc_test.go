@@ -7,9 +7,12 @@
 package repro_test
 
 import (
+	"math"
 	"math/rand"
+	"runtime"
 	"testing"
 
+	"repro"
 	"repro/internal/arch"
 	"repro/internal/baseline"
 	"repro/internal/cem"
@@ -20,6 +23,7 @@ import (
 	"repro/internal/predict"
 	"repro/internal/rfu"
 	"repro/internal/span"
+	"repro/internal/workload"
 )
 
 // fig2Demands mirrors BenchmarkFig2SelectionUnit's demand stream: 64
@@ -225,4 +229,38 @@ func TestZeroAllocMachineCycleWithPrefetch(t *testing.T) {
 	if allocs := testing.AllocsPerRun(2000, p.Cycle); allocs != 0 {
 		t.Errorf("steady-state cycle with prefetch policy: %.2f allocs/op, want 0", allocs)
 	}
+}
+
+// buildAllocBound caps the host bytes one default machine build may
+// allocate. Data memory is paged on first store (ARCHITECTURE.md §10),
+// so a build pays for the processor's tables, not the 1 MiB address
+// space it models.
+const buildAllocBound = 64 << 10
+
+// machineSink keeps measured builds from being optimised away.
+var machineSink *repro.Machine
+
+func TestBuildAllocBound(t *testing.T) {
+	if raceEnabled {
+		t.Skip("alloc counts are inflated by the race detector")
+	}
+	prog := workload.KernelByName("sort").Program()
+	const builds = 20
+	var ms runtime.MemStats
+	// Best of a few rounds, so a stray background allocation cannot
+	// fail the bound.
+	perBuild := uint64(math.MaxUint64)
+	for round := 0; round < 3; round++ {
+		runtime.ReadMemStats(&ms)
+		before := ms.TotalAlloc
+		for i := 0; i < builds; i++ {
+			machineSink = repro.NewMachine(prog, repro.Options{})
+		}
+		runtime.ReadMemStats(&ms)
+		perBuild = min(perBuild, (ms.TotalAlloc-before)/builds)
+	}
+	if perBuild > buildAllocBound {
+		t.Errorf("building a default machine allocates %d KiB, want <= %d KiB", perBuild>>10, buildAllocBound>>10)
+	}
+	t.Logf("default machine build: %.1f KiB", float64(perBuild)/1024)
 }

@@ -560,6 +560,16 @@ func BenchmarkEncodeDecodeProgram(b *testing.B) {
 	}
 }
 
+// Machine construction alone: the per-request and per-point fixed cost
+// rssd and the jobs fabric pay before a single cycle runs.
+func BenchmarkMachineBuild(b *testing.B) {
+	prog := workload.KernelByName("sort").Program()
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		machineSink = repro.NewMachine(prog, repro.Options{})
+	}
+}
+
 func BenchmarkFunctionalInterpreter(b *testing.B) {
 	k := workload.KernelByName("dot")
 	prog := k.Program()

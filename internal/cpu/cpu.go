@@ -54,7 +54,7 @@ type Params struct {
 
 	Latencies isa.Latencies
 
-	MemBytes         int // data memory size, power of two (1 MiB)
+	MemBytes         int // data memory size, power of two up to 1<<32 (1 MiB)
 	CacheSets        int // direct-mapped data cache sets (64)
 	CacheLineBytes   int // cache line size (32)
 	CacheMissPenalty int // extra cycles on a load miss (10)
@@ -252,8 +252,10 @@ func (p Params) Validate() error {
 		}
 	}
 	powerOfTwo := func(v int) bool { return v&(v-1) == 0 }
-	if p.MemBytes > 0 && !powerOfTwo(p.MemBytes) {
-		return fmt.Errorf("%w: MemBytes %d is not a power of two", ErrInvalidParams, p.MemBytes)
+	if p.MemBytes > 0 {
+		if err := mem.ValidSize(p.MemBytes); err != nil {
+			return fmt.Errorf("%w: MemBytes: %v", ErrInvalidParams, err)
+		}
 	}
 	if p.CacheLineBytes > 0 && !powerOfTwo(p.CacheLineBytes) {
 		return fmt.Errorf("%w: CacheLineBytes %d is not a power of two", ErrInvalidParams, p.CacheLineBytes)

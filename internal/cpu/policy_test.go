@@ -100,7 +100,8 @@ func TestParamsValidate(t *testing.T) {
 		{WindowSize: -1},
 		{ReconfigLatency: -8},
 		{ConfigBusWidth: -1},
-		{MemBytes: 1000}, // not a power of two
+		{MemBytes: 1000},    // not a power of two
+		{MemBytes: 1 << 40}, // beyond the 32-bit address space
 		{CacheLineBytes: 48},
 		{IssueOrder: IssueOrder(99)},
 		{FaultTransientRate: -0.1},

@@ -7,34 +7,79 @@ package mem
 
 import "fmt"
 
-// Memory is a flat little-endian byte-addressable memory. Addresses wrap
-// modulo the (power-of-two) size, so wild speculative addresses read and
-// write harmlessly inside the array instead of faulting — the simulator
-// equivalent of a physical address space.
+// Memory is a little-endian byte-addressable memory held as a table of
+// 4 KiB pages. A page is allocated by the first store into it; a load
+// from a page never stored to reads 0 and allocates nothing, so a
+// machine pays only for the data its program writes. Addresses wrap
+// modulo the (power-of-two) size, so wild speculative addresses read
+// harmlessly inside the address space instead of faulting — the
+// simulator equivalent of a physical address space. Halves and words
+// are composed byte by byte, so one may straddle a page boundary or the
+// top of memory. A memory smaller than a page is a prefix of page 0.
 type Memory struct {
-	data []byte
-	mask uint32
+	pages []*[pageSize]byte
+	mask  uint32
 }
+
+const (
+	pageShift = 12
+	pageSize  = 1 << pageShift
+)
 
 // DefaultSize is the default memory size (1 MiB).
 const DefaultSize = 1 << 20
 
-// NewMemory allocates a memory of the given power-of-two size in bytes.
-func NewMemory(size int) *Memory {
+// MaxSize is the largest memory: the ISA's 32-bit address space.
+// Larger sizes would only be truncated by the address mask.
+const MaxSize = 1 << 32
+
+// ValidSize reports whether size is a usable memory size: a power of
+// two no larger than MaxSize.
+func ValidSize(size int) error {
 	if size <= 0 || size&(size-1) != 0 {
-		panic(fmt.Sprintf("mem: size %d is not a positive power of two", size))
+		return fmt.Errorf("mem: size %d is not a positive power of two", size)
 	}
-	return &Memory{data: make([]byte, size), mask: uint32(size - 1)}
+	if int64(size) > MaxSize {
+		return fmt.Errorf("mem: size %d exceeds the 32-bit address space (%d bytes)", size, int64(MaxSize))
+	}
+	return nil
+}
+
+// NewMemory returns a zeroed memory of the given size in bytes; it
+// panics if ValidSize rejects the size. Only the page table is
+// allocated here; pages follow on first store.
+func NewMemory(size int) *Memory {
+	if err := ValidSize(size); err != nil {
+		panic(err.Error())
+	}
+	return &Memory{
+		pages: make([]*[pageSize]byte, max(size/pageSize, 1)),
+		mask:  uint32(size - 1),
+	}
 }
 
 // Size returns the memory size in bytes.
-func (m *Memory) Size() int { return len(m.data) }
+func (m *Memory) Size() int { return int(m.mask) + 1 }
 
 // LoadByte reads one byte.
-func (m *Memory) LoadByte(addr uint32) uint8 { return m.data[addr&m.mask] }
+func (m *Memory) LoadByte(addr uint32) uint8 {
+	a := addr & m.mask
+	if pg := m.pages[a>>pageShift]; pg != nil {
+		return pg[a&(pageSize-1)]
+	}
+	return 0
+}
 
-// StoreByte writes one byte.
-func (m *Memory) StoreByte(addr uint32, v uint8) { m.data[addr&m.mask] = v }
+// StoreByte writes one byte, allocating its page on first use.
+func (m *Memory) StoreByte(addr uint32, v uint8) {
+	a := addr & m.mask
+	pg := m.pages[a>>pageShift]
+	if pg == nil {
+		pg = new([pageSize]byte)
+		m.pages[a>>pageShift] = pg
+	}
+	pg[a&(pageSize-1)] = v
+}
 
 // LoadHalf reads a little-endian 16-bit value.
 func (m *Memory) LoadHalf(addr uint32) uint16 {

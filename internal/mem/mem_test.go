@@ -7,7 +7,7 @@ import (
 )
 
 func TestNewMemoryRejectsBadSizes(t *testing.T) {
-	for _, size := range []int{0, -4, 3, 1000} {
+	for _, size := range []int{0, -4, 3, 1000, 2 * MaxSize} {
 		func() {
 			defer func() {
 				if recover() == nil {
@@ -159,5 +159,133 @@ func TestCacheDeterministicReplay(t *testing.T) {
 		if a[i] != b[i] {
 			t.Fatalf("replay diverged at %d", i)
 		}
+	}
+}
+
+func TestValidSize(t *testing.T) {
+	for _, size := range []int{1, 16, 1 << 10, DefaultSize, MaxSize} {
+		if err := ValidSize(size); err != nil {
+			t.Errorf("ValidSize(%d) = %v, want nil", size, err)
+		}
+	}
+	for _, size := range []int{0, -4, 3, 1000, MaxSize + 1, 2 * MaxSize, 1 << 40} {
+		if ValidSize(size) == nil {
+			t.Errorf("ValidSize(%d) accepted", size)
+		}
+	}
+}
+
+// refMemory is the reference model the paged Memory must match byte for
+// byte: a plain slice, little-endian, every byte address wrapped
+// modulo the size on its own.
+type refMemory []byte
+
+func (r refMemory) load(addr uint32, size int) uint32 {
+	var v uint32
+	for i := 0; i < size; i++ {
+		v |= uint32(r[(addr+uint32(i))&uint32(len(r)-1)]) << (8 * i)
+	}
+	return v
+}
+
+func (r refMemory) store(addr uint32, size int, v uint32) {
+	for i := 0; i < size; i++ {
+		r[(addr+uint32(i))&uint32(len(r)-1)] = uint8(v >> (8 * i))
+	}
+}
+
+// boundaryAddr draws an address biased toward the places a paged memory
+// can get wrong: a few bytes either side of a page boundary, the top of
+// memory (and its aliases above the size), and otherwise anywhere in
+// the 32-bit space.
+func boundaryAddr(rng *rand.Rand, size int) uint32 {
+	near := uint32(rng.Intn(9)) - 4 // -4..+4 around the anchor
+	switch rng.Intn(4) {
+	case 0:
+		pages := size / pageSize
+		if pages < 1 {
+			pages = 1
+		}
+		return uint32(rng.Intn(pages+1)*pageSize) + near
+	case 1:
+		return uint32(size)*uint32(rng.Intn(4)+1) + near
+	case 2:
+		return uint32(rng.Intn(size))
+	default:
+		return rng.Uint32()
+	}
+}
+
+func TestMemoryMatchesReferenceModel(t *testing.T) {
+	for _, size := range []int{16, 1 << 10, pageSize, 2 * pageSize, 1 << 16, 4 << 20} {
+		rng := rand.New(rand.NewSource(int64(size)))
+		m := NewMemory(size)
+		ref := make(refMemory, size)
+		if m.Size() != size {
+			t.Fatalf("Size() = %d, want %d", m.Size(), size)
+		}
+		for i := 0; i < 20000; i++ {
+			addr := boundaryAddr(rng, size)
+			width := []int{1, 2, 4}[rng.Intn(3)]
+			if rng.Intn(2) == 0 {
+				v := rng.Uint32() & uint32(1<<(8*width)-1)
+				switch width {
+				case 1:
+					m.StoreByte(addr, uint8(v))
+				case 2:
+					m.StoreHalf(addr, uint16(v))
+				case 4:
+					m.StoreWord(addr, v)
+				}
+				ref.store(addr, width, v)
+				continue
+			}
+			var got uint32
+			switch width {
+			case 1:
+				got = uint32(m.LoadByte(addr))
+			case 2:
+				got = uint32(m.LoadHalf(addr))
+			case 4:
+				got = m.LoadWord(addr)
+			}
+			if want := ref.load(addr, width); got != want {
+				t.Fatalf("size %d op %d: %d-byte load at %#x = %#x, want %#x", size, i, width, addr, got, want)
+			}
+		}
+		for a := range ref {
+			if got := m.LoadByte(uint32(a)); got != ref[a] {
+				t.Fatalf("size %d: final byte %#x = %#x, want %#x", size, a, got, ref[a])
+			}
+		}
+	}
+}
+
+func TestLoadsDoNotAllocatePages(t *testing.T) {
+	m := NewMemory(DefaultSize)
+	addr := uint32(0)
+	allocs := testing.AllocsPerRun(200, func() {
+		_ = m.LoadByte(addr)
+		_ = m.LoadHalf(addr | (pageSize - 1)) // straddles a page boundary
+		_ = m.LoadWord(addr + 8)
+		addr += 7919 // walk across many untouched pages
+	})
+	if allocs != 0 {
+		t.Errorf("loads from untouched pages: %.1f allocs/op, want 0", allocs)
+	}
+	for i, pg := range m.pages {
+		if pg != nil {
+			t.Fatalf("a load allocated page %d", i)
+		}
+	}
+	m.StoreWord(uint32(3*pageSize-2), 0xdeadbeef) // straddles pages 2 and 3
+	var touched []int
+	for i, pg := range m.pages {
+		if pg != nil {
+			touched = append(touched, i)
+		}
+	}
+	if len(touched) != 2 || touched[0] != 2 || touched[1] != 3 {
+		t.Errorf("straddling store allocated pages %v, want [2 3]", touched)
 	}
 }

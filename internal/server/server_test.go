@@ -325,6 +325,35 @@ func TestRunBadRequests(t *testing.T) {
 	}
 }
 
+// TestRunHugeMemBytes pins the memory-size bound: a MemBytes beyond the
+// ISA's 32-bit address space is a structured 400 on every endpoint that
+// builds machines, and the server keeps serving afterwards. Before the
+// bound, a power-of-two request like this one exhausted host memory.
+func TestRunHugeMemBytes(t *testing.T) {
+	_, ts, _ := newTestServer(t, Config{})
+	const huge = `{"MemBytes": 1099511627776}`
+	cases := []struct {
+		path, body, wantCode string
+	}{
+		{"/v1/run", fmt.Sprintf(`{"source": %q, "params": %s}`, haltingSource, huge), api.CodeInvalidParams},
+		// Job submission reports a bad point as invalid_request.
+		{"/v1/jobs", fmt.Sprintf(`{"source": %q, "points": [{"params": %s}]}`, haltingSource, huge), api.CodeInvalidRequest},
+	}
+	for _, tc := range cases {
+		status, doc := postJSON(t, ts, tc.path, tc.body)
+		if status != http.StatusBadRequest {
+			t.Fatalf("%s: status = %d, want 400 (%v)", tc.path, status, doc)
+		}
+		if code := errCode(t, doc); code != tc.wantCode {
+			t.Errorf("%s: code = %s, want %s", tc.path, code, tc.wantCode)
+		}
+	}
+	status, doc := postJSON(t, ts, "/v1/run", fmt.Sprintf(`{"source": %q, "params": {"MemBytes": 4096}}`, haltingSource))
+	if status != http.StatusOK {
+		t.Fatalf("run after the rejected requests: status = %d (%v)", status, doc)
+	}
+}
+
 func TestEstimateHappyPath(t *testing.T) {
 	_, ts, c := newTestServer(t, Config{})
 	resp, err := c.Estimate(context.Background(), api.EstimateRequest{
