@@ -28,7 +28,6 @@ import (
 	"repro/internal/telemetry"
 	"repro/internal/trace"
 	"repro/internal/wakeup"
-	"repro/internal/wide"
 	"repro/internal/workload"
 )
 
@@ -597,11 +596,10 @@ func BenchmarkLogicAdderTree(b *testing.B) {
 	}
 }
 
-// --- Wide machine: lane-parallel sweep throughput ---------------------
+// --- Sweep throughput -------------------------------------------------
 
 // sweepProg is the homogeneous 64-point sweep workload: one program,
-// seeds 0..63 — the shape sweep.RunBatch groups onto wide-machine
-// lanes.
+// seeds 0..63.
 func sweepProg() repro.Program {
 	return repro.Synthesize(repro.AlternatingPhases(3000, 250), 7)
 }
@@ -614,9 +612,9 @@ func sweepOptions(seed int64) repro.Options {
 	}
 }
 
-// BenchmarkScalarSweep64 is the pre-wide baseline: 64 points simulated
+// BenchmarkScalarSweep64 is the serial baseline: 64 points simulated
 // one after another on a single goroutine, the way a naive sweep loop
-// runs a grid. Compare Mcycles/s against BenchmarkWideSweep64.
+// runs a grid. Compare Mcycles/s against BenchmarkParallelSweep64.
 func BenchmarkScalarSweep64(b *testing.B) {
 	prog := sweepProg()
 	total := 0
@@ -635,35 +633,24 @@ func BenchmarkScalarSweep64(b *testing.B) {
 	b.ReportMetric(float64(total)/1e6/b.Elapsed().Seconds(), "Mcycles/s")
 }
 
-// BenchmarkWideSweep64 runs the same 64-point sweep through
-// sweep.RunBatch: points grouped 8 to a wide machine, groups spread
-// over GOMAXPROCS workers — the path rssd's executor and rsssim -lanes
-// take. Results are bit-identical to the scalar baseline (see
-// widemachine_test.go); only the aggregate cycles/sec changes.
-func BenchmarkWideSweep64(b *testing.B) {
+// BenchmarkParallelSweep64 runs the same 64-point sweep through
+// sweep.RunContext over GOMAXPROCS workers, one scalar machine per
+// point — the path the experiment grids and rssd's job executor take.
+// Results are those of the serial baseline; only the aggregate
+// cycles/sec changes with the core count.
+func BenchmarkParallelSweep64(b *testing.B) {
 	prog := sweepProg()
 	ctx := context.Background()
 	total := 0
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		cycles, err := sweep.RunBatch(ctx, 64, 0, 8,
-			func(int) string { return "homogeneous" },
-			func(ctx context.Context, idxs []int) []int {
-				lanes := make([]wide.Lane, len(idxs))
-				for j, idx := range idxs {
-					lanes[j] = wide.Lane{M: repro.NewMachine(prog, sweepOptions(int64(idx))), MaxCycles: 2_000_000}
-				}
-				w := wide.New(lanes)
-				results, _ := w.RunContext(ctx)
-				out := make([]int, len(results))
-				for j, r := range results {
-					if r.Err != nil {
-						b.Error(r.Err)
-					}
-					out[j] = r.Stats.Cycles
-				}
-				return out
-			})
+		cycles, err := sweep.RunContext(ctx, 64, 0, func(ctx context.Context, s int) int {
+			st, err := repro.NewMachine(prog, sweepOptions(int64(s))).RunContext(ctx, 2_000_000)
+			if err != nil {
+				b.Error(err)
+			}
+			return st.Cycles
+		})
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -60,7 +60,6 @@ func main() {
 		maxJobs      = flag.Int("max-jobs", 64, "max concurrently active (non-terminal) jobs")
 		jobDir       = flag.String("job-dir", "", "durable job-store directory (empty = in-memory jobs)")
 		workerSlots  = flag.Int("worker-slots", 4, "concurrent points per remote worker")
-		batchLanes   = flag.Int("batch-lanes", 0, "wide-machine lane width for batching compatible job points in-process (0 = default 8, 1 disables)")
 		spawnWorkers = flag.Int("spawn-workers", 0, "spawn N local rssd worker processes and shard jobs across them")
 		drainTimeout = flag.Duration("drain-timeout", 30*time.Second, "max time to wait for in-flight requests at shutdown")
 		enablePprof  = flag.Bool("pprof", false, "mount net/http/pprof under /debug/pprof/")
@@ -106,7 +105,6 @@ func main() {
 		JobDir:           *jobDir,
 		WorkerURLs:       workerURLs,
 		WorkerSlots:      *workerSlots,
-		BatchLanes:       *batchLanes,
 		EnablePprof:      *enablePprof,
 		SpanFlightSize:   *flightSize,
 	})

@@ -12,7 +12,6 @@
 //	rsssim -kernel matmul -metrics - -metrics-format csv    # to stdout
 //	rsssim -synthetic alternating -prefetch -trace-spans trace.json  # Perfetto timeline
 //	rsssim -kernel saxpy -fault-rate 0.01 -flight-dump dump.json     # dump ring at anomaly
-//	rsssim -kernel matmul -lanes 16        # 16 seeded replicas on the wide machine
 //	rsssim -kernels            # list built-in kernels
 package main
 
@@ -20,7 +19,6 @@ import (
 	"flag"
 	"fmt"
 	"io"
-	"math/bits"
 	"net/http"
 	_ "net/http/pprof"
 	"os"
@@ -29,7 +27,6 @@ import (
 	"repro"
 	"repro/internal/cluster"
 	"repro/internal/span"
-	"repro/internal/wide"
 )
 
 func main() {
@@ -50,7 +47,6 @@ func main() {
 		lookahead  = flag.Bool("lookahead", false, "feed the manager fetched-but-undispatched demand too (X10)")
 		residency  = flag.Int("residency", 0, "minimum cycles between configuration loads (X11)")
 		jsonOut    = flag.Bool("json", false, "emit the run report as JSON instead of text")
-		lanes      = flag.Int("lanes", 1, "run N seeded replicas (seeds seed..seed+N-1) as lanes of the wide machine and print per-lane IPC plus aggregate throughput")
 
 		cores       = flag.Int("cores", 1, "run K cores as a reconfigurable cluster sharing one fabric and print per-core plus aggregate IPC")
 		clusterMode = flag.String("cluster-mode", "", "cluster fabric-sharing mode: merged (default) or split")
@@ -110,9 +106,6 @@ func main() {
 	if *spansFormat != "chrome" && *spansFormat != "jsonl" {
 		fail(fmt.Errorf("-trace-spans-format must be chrome or jsonl, got %q", *spansFormat))
 	}
-	if *lanes < 1 || *lanes > wide.MaxLanes {
-		fail(fmt.Errorf("-lanes must be in [1,%d], got %d", wide.MaxLanes, *lanes))
-	}
 	if *cores < 1 || *cores > cluster.MaxCores {
 		fail(fmt.Errorf("-cores must be in [1,%d], got %d", cluster.MaxCores, *cores))
 	}
@@ -130,7 +123,6 @@ func main() {
 			set  bool
 			name string
 		}{
-			{*lanes > 1, "-lanes"},
 			{*traceN > 0, "-trace"},
 			{*flightPath != "", "-flight-dump"},
 			{*jsonOut, "-json"},
@@ -139,25 +131,6 @@ func main() {
 		} {
 			if conflict.set {
 				fail(fmt.Errorf("%s conflicts with -cores", conflict.name))
-			}
-		}
-	}
-	if *lanes > 1 {
-		// Per-machine instrumentation attaches to one lane's machine;
-		// with several lanes the outputs would interleave meaninglessly.
-		for _, conflict := range []struct {
-			set  bool
-			name string
-		}{
-			{*traceN > 0, "-trace"},
-			{*metricsPath != "", "-metrics"},
-			{*spansPath != "", "-trace-spans"},
-			{*flightPath != "", "-flight-dump"},
-			{*jsonOut, "-json"},
-			{*estimate || *estimateOnly, "-estimate"},
-		} {
-			if conflict.set {
-				fail(fmt.Errorf("%s is per-run instrumentation and conflicts with -lanes", conflict.name))
 			}
 		}
 	}
@@ -222,17 +195,16 @@ func main() {
 		opt.Basis = &basis
 	}
 
-	// build constructs one fully set-up machine for a lane seed, plus an
-	// optional output validator. The scalar path calls it once with the
-	// base seed; -lanes N calls it per lane with seed..seed+N-1.
-	var build func(laneSeed int64) (*repro.Machine, func(*repro.Machine) error)
-	// program yields the bare instruction stream for the analytic model —
-	// the same stream build feeds the simulator.
-	var program func(laneSeed int64) repro.Program
-	// coreSetup / coreValidate instrument one cluster core's machine; only
-	// kernels need them (register/memory presets and output checks).
-	var coreSetup func(*repro.Machine)
-	var coreValidate func(*repro.Machine) error
+	// build constructs the scalar run's machine from the base seed.
+	var build func() *repro.Machine
+	// program yields the bare instruction stream for a seed — what the
+	// analytic model reads and each cluster core runs.
+	var program func(seed int64) repro.Program
+	// setup / validate instrument one machine (the scalar run's or a
+	// cluster core's); only kernels need them (register/memory presets
+	// and output checks).
+	var setup func(*repro.Machine)
+	var validate func(*repro.Machine) error
 	switch {
 	case *kernelName != "":
 		k := repro.KernelByName(*kernelName)
@@ -240,30 +212,17 @@ func main() {
 			fail(fmt.Errorf("unknown kernel %q; try -kernels", *kernelName))
 		}
 		if k.Setup != nil {
-			coreSetup = func(m *repro.Machine) {
+			setup = func(m *repro.Machine) {
 				k.Setup(m.Processor().Memory(), m.Processor().SetReg)
 			}
 		}
 		if k.Validate != nil {
-			coreValidate = func(m *repro.Machine) error {
+			validate = func(m *repro.Machine) error {
 				return k.Validate(m.Processor().Reg, m.Processor().Memory())
 			}
 		}
 		program = func(int64) repro.Program { return k.Program() }
-		build = func(laneSeed int64) (*repro.Machine, func(*repro.Machine) error) {
-			o := opt
-			o.Seed = laneSeed
-			m := repro.NewMachine(k.Program(), o)
-			if k.Setup != nil {
-				k.Setup(m.Processor().Memory(), m.Processor().SetReg)
-			}
-			if k.Validate == nil {
-				return m, nil
-			}
-			return m, func(m *repro.Machine) error {
-				return k.Validate(m.Processor().Reg, m.Processor().Memory())
-			}
-		}
+		build = func() *repro.Machine { return repro.NewMachine(k.Program(), opt) }
 
 	case *asmPath != "":
 		src, err := os.ReadFile(*asmPath)
@@ -275,31 +234,19 @@ func main() {
 			fail(err)
 		}
 		program = func(int64) repro.Program { return unit.Program }
-		build = func(laneSeed int64) (*repro.Machine, func(*repro.Machine) error) {
-			o := opt
-			o.Seed = laneSeed
-			return repro.NewMachineFromUnit(unit, o), nil
-		}
+		build = func() *repro.Machine { return repro.NewMachineFromUnit(unit, opt) }
 
 	case *synthetic != "":
-		program = func(laneSeed int64) repro.Program {
-			prog, err := syntheticProgram(*synthetic, laneSeed)
+		// The workload itself is seeded too: each seed draws a distinct
+		// program from the same synthetic mix.
+		program = func(seed int64) repro.Program {
+			prog, err := syntheticProgram(*synthetic, seed)
 			if err != nil {
 				fail(err)
 			}
 			return prog
 		}
-		build = func(laneSeed int64) (*repro.Machine, func(*repro.Machine) error) {
-			// The workload itself is seeded too: each lane simulates a
-			// distinct draw of the same synthetic mix.
-			prog, err := syntheticProgram(*synthetic, laneSeed)
-			if err != nil {
-				fail(err)
-			}
-			o := opt
-			o.Seed = laneSeed
-			return repro.NewMachine(prog, o), nil
-		}
+		build = func() *repro.Machine { return repro.NewMachine(program(*seed), opt) }
 
 	default:
 		fmt.Fprintln(os.Stderr, "one of -kernel, -asm or -synthetic is required")
@@ -325,7 +272,7 @@ func main() {
 		opt.Params.ClusterMode = *clusterMode
 		opt.Params.ClusterArbiter = *clusterArb
 		runCluster(clusterRunConfig{
-			opt: opt, program: program, setup: coreSetup, validate: coreValidate,
+			opt: opt, program: program, setup: setup, validate: validate,
 			cores: *cores, seed: *seed, maxCycles: *maxCycles, switchEvery: *clusterFlip,
 			metricsPath: *metricsPath, metricsFormat: *metricsFormat, metricsInterval: *metricsInterval,
 			spansPath: *spansPath, spansFormat: *spansFormat,
@@ -333,15 +280,9 @@ func main() {
 		return
 	}
 
-	if *lanes > 1 {
-		runWide(build, *lanes, *seed, *maxCycles)
-		return
-	}
-
-	m, v := build(*seed)
-	var validate func() error
-	if v != nil {
-		validate = func() error { return v(m) }
+	m := build()
+	if setup != nil {
+		setup(m)
 	}
 
 	if *traceN > 0 {
@@ -413,7 +354,7 @@ func main() {
 		}
 	}
 	if validate != nil {
-		if err := validate(); err != nil {
+		if err := validate(m); err != nil {
 			fail(fmt.Errorf("validation: %w", err))
 		}
 		fmt.Println("kernel output validated OK")
@@ -463,53 +404,6 @@ func printEstimate(e repro.Estimate, policy repro.Policy) {
 			c.Unit, c.Capacity, 100*c.Utilization, c.QueueDelay)
 	}
 	fmt.Printf("  envelope: %s\n", e.Envelope)
-}
-
-// runWide runs n seeded replicas (seeds seed..seed+n-1) as lanes of one
-// wide machine and prints a per-lane result table plus the aggregate
-// throughput: total simulated cycles across all lanes over the wall
-// time of the single batched pass.
-func runWide(build func(int64) (*repro.Machine, func(*repro.Machine) error), n int, seed int64, maxCycles int) {
-	lanes := make([]wide.Lane, n)
-	validators := make([]func(*repro.Machine) error, n)
-	for i := range lanes {
-		m, v := build(seed + int64(i))
-		lanes[i] = wide.Lane{M: m, MaxCycles: maxCycles}
-		validators[i] = v
-	}
-	w := wide.New(lanes)
-	start := time.Now()
-	results := w.Run()
-	elapsed := time.Since(start)
-
-	failed := false
-	totalCycles := 0
-	fmt.Printf("%-5s %-7s %12s %12s %8s  %s\n", "lane", "seed", "cycles", "retired", "IPC", "status")
-	for i, r := range results {
-		totalCycles += r.Stats.Cycles
-		status := "halt"
-		switch {
-		case r.Err != nil:
-			status = r.Err.Error()
-			failed = true
-		case validators[i] != nil:
-			if err := validators[i](w.Lane(i)); err != nil {
-				status = fmt.Sprintf("validation: %v", err)
-				failed = true
-			} else {
-				status = "halt, validated OK"
-			}
-		}
-		fmt.Printf("%-5d %-7d %12d %12d %8.3f  %s\n",
-			i, seed+int64(i), r.Stats.Cycles, r.Stats.Retired, r.Stats.IPC(), status)
-	}
-	fmt.Printf("\nlanes: %d (halted %d, cycle-limited %d)\n",
-		n, bits.OnesCount64(w.HaltedMask()), bits.OnesCount64(w.LimitedMask()))
-	fmt.Printf("aggregate: %d cycles in %v = %.3g cycles/sec\n",
-		totalCycles, elapsed.Round(time.Microsecond), float64(totalCycles)/elapsed.Seconds())
-	if failed {
-		os.Exit(1)
-	}
 }
 
 // clusterRunConfig carries the -cores run's inputs to runCluster.

@@ -137,7 +137,7 @@ type Estimate struct {
 }
 
 // Envelope is the one-line validity statement attached to every
-// estimate; ARCHITECTURE §17 documents the full contract.
+// estimate; ARCHITECTURE §16 documents the full contract.
 const Envelope = "straight-line programs, healthy fabric, deterministic policy; rank with estimates, certify with runs"
 
 // Estimate solves the model for one program.

@@ -8,12 +8,14 @@ package server
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"io"
 	"net/http"
 	"net/http/httptest"
 	"strings"
 	"testing"
 
+	"repro"
 	"repro/internal/api"
 	"repro/internal/client"
 )
@@ -23,6 +25,16 @@ import (
 // it, but short enough that suites stay fast.
 const busySource = `
 	li r1, 60000
+loop:	addi r1, r1, -1
+	mul r2, r1, r1
+	bne r1, r0, loop
+	halt
+`
+
+// shortLoopSource is busySource cut to 300 iterations: long enough for
+// the random policy's seed to shape the run, short enough to repeat.
+const shortLoopSource = `
+	li r1, 300
 loop:	addi r1, r1, -1
 	mul r2, r1, r1
 	bne r1, r0, loop
@@ -85,35 +97,44 @@ func TestJobSubmitAndWait(t *testing.T) {
 	}
 }
 
-// TestJobBatchMatchesScalar pins the wide-machine routing invariant at
-// the service level: a job run through lane batching returns
-// byte-identical per-point reports to the same job run point by point.
-func TestJobBatchMatchesScalar(t *testing.T) {
+// TestJobPointsMatchRun pins the job path to the synchronous one: every
+// point of a job carries exactly the report a /v1/run of the same
+// source and spec returns. Odd points run the random policy, so each
+// point's seed reaches its report. Reports are compared compacted,
+// because the response encoder indents each one to its own nesting
+// depth.
+func TestJobPointsMatchRun(t *testing.T) {
+	_, _, c := newTestServer(t, Config{Workers: 2})
 	ctx := context.Background()
-	run := func(lanes int) []api.PointResult {
-		_, _, c := newTestServer(t, Config{Workers: 2, BatchLanes: lanes})
-		created, err := c.SubmitJob(ctx, api.JobRequest{
-			Source: haltingSource,
-			Points: jobPoints(5), // ragged: not a multiple of the lane width
-		})
-		if err != nil {
-			t.Fatalf("submit (lanes=%d): %v", lanes, err)
-		}
-		status, err := c.WaitJob(ctx, created.ID, nil)
-		if err != nil {
-			t.Fatalf("wait (lanes=%d): %v", lanes, err)
-		}
-		if status.State != api.JobDone || status.Failed != 0 {
-			t.Fatalf("status (lanes=%d) = %+v, want done with 0 failed", lanes, status)
-		}
-		return status.Points
+	points := jobPoints(5)
+	for i := 1; i < len(points); i += 2 {
+		points[i].Policy = repro.PolicyRandom
 	}
-	scalar := run(1)
-	batched := run(4)
-	for i := range scalar {
-		if !bytes.Equal(scalar[i].Report, batched[i].Report) {
-			t.Errorf("point %d: batched report diverges from scalar:\n  scalar:  %s\n  batched: %s",
-				i, scalar[i].Report, batched[i].Report)
+	created, err := c.SubmitJob(ctx, api.JobRequest{Source: shortLoopSource, Points: points})
+	if err != nil {
+		t.Fatalf("submit: %v", err)
+	}
+	status, err := c.WaitJob(ctx, created.ID, nil)
+	if err != nil {
+		t.Fatalf("wait: %v", err)
+	}
+	if status.State != api.JobDone || status.Failed != 0 || len(status.Points) != len(points) {
+		t.Fatalf("status = %+v, want done with %d points, 0 failed", status, len(points))
+	}
+	for i, spec := range points {
+		run, err := c.Run(ctx, api.RunRequest{Source: shortLoopSource, RunSpec: spec})
+		if err != nil {
+			t.Fatalf("run point %d: %v", i, err)
+		}
+		var got, want bytes.Buffer
+		if err := json.Compact(&got, status.Points[i].Report); err != nil {
+			t.Fatalf("point %d: job report: %v", i, err)
+		}
+		if err := json.Compact(&want, run.Report); err != nil {
+			t.Fatalf("point %d: run report: %v", i, err)
+		}
+		if !bytes.Equal(got.Bytes(), want.Bytes()) {
+			t.Errorf("point %d: job report diverges from /v1/run:\n  job: %s\n  run: %s", i, got.Bytes(), want.Bytes())
 		}
 	}
 }
@@ -121,10 +142,8 @@ func TestJobBatchMatchesScalar(t *testing.T) {
 // TestJobEventsBeforeFinish pins the streaming guarantee: with one
 // worker slot and a deliberately slow final point, the events stream
 // delivers earlier per-point results while the job is still running.
-// Lane batching is off — batched points land together by design, which
-// would let the job finish before the first event is read.
 func TestJobEventsBeforeFinish(t *testing.T) {
-	_, _, c := newTestServer(t, Config{Workers: 1, BatchLanes: 1})
+	_, _, c := newTestServer(t, Config{Workers: 1})
 	ctx := context.Background()
 
 	points := jobPoints(2)

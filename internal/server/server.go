@@ -45,7 +45,6 @@ import (
 	"repro/internal/job"
 	"repro/internal/span"
 	"repro/internal/telemetry"
-	"repro/internal/wide"
 )
 
 // Config sizes the service; zero fields take the listed defaults.
@@ -89,16 +88,6 @@ type Config struct {
 	// WorkerSlots is the per-remote-worker point concurrency
 	// (default 4).
 	WorkerSlots int
-	// BatchLanes is the lane width of the in-process wide machine: how
-	// many lane-compatible job points one executor slot advances in
-	// lockstep as a single batch (default 8, capped at wide.MaxLanes;
-	// 1 disables batching). Widths near the worker count keep sweeps
-	// parallel across slots while each slot amortises scheduling over
-	// its lanes. Batched points complete together, so the events stream
-	// delivers their results in batch-sized bursts rather than one by
-	// one — set 1 when per-point streaming latency matters more than
-	// throughput.
-	BatchLanes int
 	// EnablePprof mounts net/http/pprof under /debug/pprof/. The pprof
 	// endpoints bypass the request-counting and latency middleware —
 	// profiling traffic must not pollute service metrics.
@@ -145,15 +134,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.WorkerSlots <= 0 {
 		c.WorkerSlots = 4
-	}
-	if c.BatchLanes == 0 {
-		c.BatchLanes = 8
-	}
-	if c.BatchLanes < 1 {
-		c.BatchLanes = 1
-	}
-	if c.BatchLanes > wide.MaxLanes {
-		c.BatchLanes = wide.MaxLanes
 	}
 	return c
 }
@@ -691,7 +671,7 @@ func (s *Server) simulateCluster(ctx context.Context, lp loadedProgram, spec api
 
 // accountMachine lands one finished machine's steering-cache and
 // prefetch counters on the service metrics — shared by the scalar
-// simulate path and the wide-machine batch executor's per-lane demux.
+// simulate path and the cluster path's per-core accounting.
 func (s *Server) accountMachine(m *repro.Machine) {
 	if hits, misses, ok := m.SteeringCacheStats(); ok {
 		s.mmu.Lock()

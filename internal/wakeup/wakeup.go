@@ -20,7 +20,7 @@
 // evaluates in a handful of boolean word operations instead of a loop
 // over the dependency matrix, and the board accessors (UsedMask,
 // ReadyMask, RequestMask, ...) expose the packed signals directly to the
-// scheduler and to the lane-parallel wide machine.
+// scheduler.
 package wakeup
 
 import (

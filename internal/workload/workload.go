@@ -10,6 +10,7 @@ import (
 	"math"
 	"math/rand"
 	"strings"
+	"sync"
 
 	"repro/internal/arch"
 	"repro/internal/isa"
@@ -27,14 +28,14 @@ type Kernel struct {
 	// Validate checks the architectural outcome after the run.
 	Validate func(reg func(r uint8) uint32, m *mem.Memory) error
 
+	once sync.Once
 	prog isa.Program
 }
 
-// Program returns the assembled kernel, assembling on first use.
+// Program returns the assembled kernel, assembling on first use. It is
+// safe for concurrent use: parallel sweeps share the kernel library.
 func (k *Kernel) Program() isa.Program {
-	if k.prog == nil {
-		k.prog = isa.MustAssemble(k.Source)
-	}
+	k.once.Do(func() { k.prog = isa.MustAssemble(k.Source) })
 	return k.prog
 }
 
