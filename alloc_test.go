@@ -20,9 +20,11 @@ import (
 	"repro/internal/core"
 	"repro/internal/cpu"
 	"repro/internal/isa"
+	"repro/internal/obs"
 	"repro/internal/predict"
 	"repro/internal/rfu"
 	"repro/internal/span"
+	"repro/internal/telemetry"
 	"repro/internal/workload"
 )
 
@@ -190,8 +192,7 @@ func TestZeroAllocMachineCycleWithSpans(t *testing.T) {
 	mgr := predict.NewManager(p.Fabric(), predict.Config{})
 	p.SetManager(mgr)
 	rec := span.NewRecorder(span.Config{}, arch.NumRFUSlots)
-	p.SetSpans(rec)
-	mgr.SetSpans(rec)
+	p.SetSink(rec)
 	for i := 0; i < 50_000 && !p.Halted(); i++ {
 		p.Cycle()
 	}
@@ -203,6 +204,66 @@ func TestZeroAllocMachineCycleWithSpans(t *testing.T) {
 	}
 	if len(rec.Entries()) == 0 {
 		t.Error("span recorder captured nothing; the instrumented path was not exercised")
+	}
+}
+
+// discardExporter drops every telemetry record, so an alloc count of
+// the telemetry path measures the probe rather than an encoder.
+type discardExporter struct{}
+
+func (discardExporter) Sample(*telemetry.Sample) error          { return nil }
+func (discardExporter) Decision(*telemetry.Decision) error      { return nil }
+func (discardExporter) Fault(*telemetry.FaultEvent) error       { return nil }
+func (discardExporter) Prefetch(*telemetry.PrefetchEvent) error { return nil }
+func (discardExporter) Flush() error                            { return nil }
+
+// TestZeroAllocMachineCycleWithTelemetry pins the fan-out path: a
+// telemetry probe and a span recorder attached together (obs.Join), with
+// faults injecting and the prefetch policy steering, so sample, decision,
+// fault and prefetch records all flow. The steady-state cycle must still
+// not allocate.
+func TestZeroAllocMachineCycleWithTelemetry(t *testing.T) {
+	if raceEnabled {
+		t.Skip("alloc counts are inflated by the race detector")
+	}
+	prog, err := isa.Assemble(steadyLoop)
+	if err != nil {
+		t.Fatal(err)
+	}
+	params := cpu.DefaultParams()
+	params.FaultTransientRate = 0.001
+	params.FaultSeed = 9
+	p := cpu.New(prog, params, nil)
+	p.SetManager(predict.NewManager(p.Fabric(), predict.Config{}))
+	probe := telemetry.NewProbe(100)
+	probe.SetExporter(discardExporter{})
+	rec := span.NewRecorder(span.Config{}, arch.NumRFUSlots)
+	p.SetSink(obs.Join(probe, rec))
+	for i := 0; i < 50_000 && !p.Halted(); i++ {
+		p.Cycle()
+	}
+	if p.Halted() {
+		t.Fatal("workload halted during warm-up; steady-state cycles unmeasurable")
+	}
+	// One run of 2000 cycles, not 2000 runs of one: AllocsPerRun
+	// truncates its per-run average, which would hide an allocation per
+	// sample (one every 100 cycles).
+	cycles := func() {
+		for i := 0; i < 2000; i++ {
+			p.Cycle()
+		}
+	}
+	if allocs := testing.AllocsPerRun(1, cycles); allocs != 0 {
+		t.Errorf("2000 steady-state cycles with telemetry and spans: %.0f allocs, want 0", allocs)
+	}
+	if p.Halted() {
+		t.Fatal("workload halted during measurement")
+	}
+	if v, _ := probe.Registry().CounterValue("rsssim_faults_injected_total", telemetry.Label{Key: "kind", Value: "transient"}); v == 0 {
+		t.Error("probe saw no faults; the fault path was not exercised")
+	}
+	if len(rec.Entries()) == 0 {
+		t.Error("span recorder captured nothing; the fan-out did not reach it")
 	}
 }
 

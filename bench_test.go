@@ -435,7 +435,7 @@ func BenchmarkTraceOverhead(b *testing.B) {
 				p := cpu.New(prog, cpu.DefaultParams(), nil)
 				p.SetManager(baseline.NewSteering(p.Fabric()))
 				if traced {
-					p.SetTracer(trace.NewBuffer(1 << 16))
+					p.SetSink(trace.NewBuffer(1 << 16))
 				}
 				if _, err := p.Run(50_000_000); err != nil {
 					b.Fatal(err)
@@ -464,8 +464,7 @@ func BenchmarkTelemetryOverhead(b *testing.B) {
 				if mode == "on" {
 					probe := telemetry.NewProbe(100)
 					probe.SetExporter(&telemetry.Collector{})
-					p.SetTelemetry(probe)
-					steer.SetTelemetry(probe)
+					p.SetSink(probe)
 				}
 				if _, err := p.Run(50_000_000); err != nil {
 					b.Fatal(err)
@@ -494,8 +493,7 @@ func BenchmarkSpanOverhead(b *testing.B) {
 				p.SetManager(steer)
 				if mode == "on" {
 					rec := span.NewRecorder(span.Config{}, arch.NumRFUSlots)
-					p.SetSpans(rec)
-					steer.SetSpans(rec)
+					p.SetSink(rec)
 				}
 				if _, err := p.Run(50_000_000); err != nil {
 					b.Fatal(err)

@@ -89,13 +89,16 @@ func TestFaultDeterminism(t *testing.T) {
 	}
 }
 
-// TestFaultNeverDispatchesToFaultySlot is the safety property of
-// degraded mode: across the X1-X6 workload shapes with faults raining
-// on the fabric, execution only ever starts on healthy slots. Fault
-// injection happens in the fabric tick, before issue, so any slot that
-// transitions idle->busy during a cycle must be healthy when the cycle
-// ends.
-func TestFaultNeverDispatchesToFaultySlot(t *testing.T) {
+// faultCase is one X1-X6 workload shape under a fault campaign.
+type faultCase struct {
+	name   string
+	prog   repro.Program
+	params func() repro.Params
+}
+
+// faultCases returns the X1-X6 workload shapes with faults raining on
+// the fabric.
+func faultCases() []faultCase {
 	x1 := phasedProgram()
 	x2 := workload.Synthesize([]workload.Phase{
 		{Mix: workload.MixIntHeavy, Instructions: 400},
@@ -112,11 +115,7 @@ func TestFaultNeverDispatchesToFaultySlot(t *testing.T) {
 		{Mix: workload.MixIntHeavy, Instructions: 400},
 	}, workload.SynthParams{Seed: 2})
 
-	cases := []struct {
-		name   string
-		prog   repro.Program
-		params func() repro.Params
-	}{
+	return []faultCase{
 		{name: "X1Phased", prog: x1, params: faultParams},
 		{name: "X2ReconfigLatency64", prog: x2, params: func() repro.Params {
 			p := faultParams()
@@ -144,7 +143,16 @@ func TestFaultNeverDispatchesToFaultySlot(t *testing.T) {
 			return p
 		}},
 	}
-	for _, tc := range cases {
+}
+
+// TestFaultNeverDispatchesToFaultySlot is the safety property of
+// degraded mode: across the X1-X6 workload shapes with faults raining
+// on the fabric, execution only ever starts on healthy slots. Fault
+// injection happens in the fabric tick, before issue, so any slot that
+// transitions idle->busy during a cycle must be healthy when the cycle
+// ends.
+func TestFaultNeverDispatchesToFaultySlot(t *testing.T) {
+	for _, tc := range faultCases() {
 		t.Run(tc.name, func(t *testing.T) {
 			m := repro.NewMachine(tc.prog, repro.Options{
 				Params: tc.params(),

@@ -20,9 +20,8 @@ import (
 	"repro/internal/arch"
 	"repro/internal/config"
 	"repro/internal/core"
+	"repro/internal/obs"
 	"repro/internal/rfu"
-	"repro/internal/span"
-	"repro/internal/telemetry"
 )
 
 // Steering adapts the paper's configuration manager to cpu.Manager.
@@ -43,13 +42,6 @@ func NewSteeringBasis(fabric *rfu.Fabric, basis [3]config.Configuration) *Steeri
 
 // Manage runs one selection/load cycle of the steering manager.
 func (s *Steering) Manage(required arch.Counts) { s.M.Step(required) }
-
-// SetTelemetry forwards a telemetry probe to the manager.
-func (s *Steering) SetTelemetry(p *telemetry.Probe) { s.M.SetTelemetry(p) }
-
-// SetSpans forwards a span recorder to the manager so steering-cache
-// flush epochs are recorded.
-func (s *Steering) SetSpans(r *span.Recorder) { s.M.SetSpans(r) }
 
 // Static is the no-reconfiguration baseline; the machine keeps whatever
 // the fabric was preloaded with (see rfu.Fabric.Install).
@@ -77,8 +69,6 @@ type FullReconfig struct {
 	// drain.
 	Blocked int
 
-	probe *telemetry.Probe
-
 	// unitsScratch is the reusable placement buffer for stream.
 	unitsScratch []config.PlacedUnit
 }
@@ -105,8 +95,9 @@ func (f *FullReconfig) Manage(required arch.Counts) {
 		return
 	}
 	sel := f.m.Select(required)
-	if f.probe != nil {
-		f.probe.Selection(sel.Errors, sel.Choice)
+	sink := f.fabric.Sink()
+	if sink != nil {
+		sink.Selection(sel.Errors, sel.Choice)
 	}
 	if sel.Current() {
 		return
@@ -119,10 +110,10 @@ func (f *FullReconfig) Manage(required arch.Counts) {
 	if f.fabric.Allocation().Slots == target.Layout {
 		return
 	}
-	if f.probe != nil {
+	if sink != nil {
 		diff := f.fabric.Allocation().Distance(target)
-		f.probe.ConfigSwitch(telemetry.Decision{
-			From:            classifyAllocation(f.fabric, f.m.Basis()),
+		sink.ConfigSwitch(obs.Decision{
+			From:            f.m.Classify(),
 			To:              target.Name,
 			Choice:          sel.Choice,
 			DiffSlots:       diff,
@@ -132,32 +123,6 @@ func (f *FullReconfig) Manage(required arch.Counts) {
 	}
 	f.pending = &target
 	f.stream()
-}
-
-// SetTelemetry installs a telemetry probe: selections and whole-fabric
-// swap decisions are logged (nil disables).
-func (f *FullReconfig) SetTelemetry(p *telemetry.Probe) { f.probe = p }
-
-// classifyAllocation names the live allocation for decision records: a
-// basis configuration's name, "(empty)", or "hybrid".
-func classifyAllocation(fabric *rfu.Fabric, basis [3]config.Configuration) string {
-	slots := fabric.Allocation().Slots
-	empty := true
-	for _, e := range slots {
-		if e != arch.EncEmpty {
-			empty = false
-			break
-		}
-	}
-	if empty {
-		return "(empty)"
-	}
-	for _, cfg := range basis {
-		if slots == cfg.Layout {
-			return cfg.Name
-		}
-	}
-	return "hybrid"
 }
 
 // stream pushes the pending swap's remaining spans through the
@@ -200,12 +165,6 @@ func NewOracleBasis(fabric *rfu.Fabric, basis [3]config.Configuration) *Oracle {
 
 // Manage runs one exact-metric selection/load cycle.
 func (o *Oracle) Manage(required arch.Counts) { o.m.Step(required) }
-
-// SetTelemetry forwards a telemetry probe to the manager.
-func (o *Oracle) SetTelemetry(p *telemetry.Probe) { o.m.SetTelemetry(p) }
-
-// SetSpans forwards a span recorder to the manager.
-func (o *Oracle) SetSpans(r *span.Recorder) { o.m.SetSpans(r) }
 
 // Random loads a random steering configuration every Period cycles — the
 // control showing that steering's wins come from matching, not from

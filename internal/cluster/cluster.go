@@ -44,7 +44,6 @@ import (
 	"repro/internal/cpu"
 	"repro/internal/rfu"
 	"repro/internal/span"
-	"repro/internal/telemetry"
 )
 
 // MaxCores bounds the cluster width (eight cores over eight slots is
@@ -150,8 +149,7 @@ type Machine struct {
 	demand [MaxCores]arch.Counts
 	order  [MaxCores]int // split-mode stepping order scratch
 
-	probes [MaxCores]*telemetry.Probe
-	spans  [MaxCores]*span.Recorder
+	spans [MaxCores]*span.Recorder
 }
 
 // New builds a cluster of opt.Params.Cores cores (minimum 1), each
@@ -476,9 +474,6 @@ func (c *Machine) RunContext(ctx context.Context, maxCycles int) (Stats, error) 
 	for i, m := range c.cores {
 		if ferr := m.FlushTelemetry(); err == nil && ferr != nil {
 			err = fmt.Errorf("telemetry (core %d): %w", i, ferr)
-		}
-		if r := c.spans[i]; r != nil && c.procs[i].Halted() {
-			r.Finish()
 		}
 	}
 	if err == nil && !c.Halted() {

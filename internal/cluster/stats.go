@@ -83,17 +83,15 @@ func (c *Machine) EnableTelemetry(w io.Writer, format string, interval int) erro
 		return fmt.Errorf("cluster: unsupported telemetry format %q (want jsonl or csv)", format)
 	}
 	for k, m := range c.cores {
-		p := m.EnableTelemetryExporter(exp, interval)
-		p.SetCore(k)
-		c.probes[k] = p
+		m.EnableTelemetryExporter(exp, interval).SetCore(k)
 	}
 	return nil
 }
 
 // EnableSpans attaches one span recorder per core, each labelled with
-// its core index; RunContext finishes them for halted cores. Export a
-// combined trace afterwards with WriteChromeTrace or the recorders'
-// own writers. Call before Run.
+// its core index and closing its trailing epochs when its core halts.
+// Export a combined trace afterwards with WriteChromeTrace or the
+// recorders' own writers. Call before Run.
 func (c *Machine) EnableSpans(cfg repro.SpanConfig) []*span.Recorder {
 	out := make([]*span.Recorder, len(c.cores))
 	for k, m := range c.cores {

@@ -14,9 +14,8 @@ import (
 	"repro/internal/cem"
 	"repro/internal/config"
 	"repro/internal/logic"
+	"repro/internal/obs"
 	"repro/internal/rfu"
-	"repro/internal/span"
-	"repro/internal/telemetry"
 )
 
 // UnitDecoder is stage 1 of the selection unit: it turns one queued
@@ -265,8 +264,6 @@ type Manager struct {
 
 	sinceLoad int
 	stats     Stats
-	probe     *telemetry.Probe
-	spans     *span.Recorder
 
 	// cache is the direct-mapped steering cache; cacheExact records the
 	// ExactCEM mode its entries were computed under, so toggling the
@@ -276,7 +273,7 @@ type Manager struct {
 	// basisUnits holds each basis configuration's placement list,
 	// computed once at NewManager so Load never rebuilds it.
 	basisUnits [3][]config.PlacedUnit
-	// classifyName memoizes classifyAllocation against the fabric's
+	// classifyName memoizes Classify against the fabric's
 	// allocation version: the name is recomputed only when the
 	// allocation vector actually changed, not every cycle. The empty
 	// string marks "not yet computed".
@@ -300,17 +297,6 @@ func NewManager(fabric *rfu.Fabric, basis [3]config.Configuration) *Manager {
 
 // Basis returns the manager's predefined steering configurations.
 func (m *Manager) Basis() [3]config.Configuration { return m.basis }
-
-// SetTelemetry installs a telemetry probe receiving every selection pass
-// and a steering-decision record per configuration switch (nil disables).
-func (m *Manager) SetTelemetry(probe *telemetry.Probe) { m.probe = probe }
-
-// SetSpans installs a span recorder tracking steering-cache flush
-// epochs (nil disables).
-func (m *Manager) SetSpans(r *span.Recorder) {
-	m.spans = r
-	r.AttachCacheEpochs()
-}
 
 // Stats returns a copy of the activity counters.
 func (m *Manager) Stats() Stats { return m.stats }
@@ -351,14 +337,16 @@ func (m *Manager) Select(required arch.Counts) Selection {
 		// flush in place (no allocation — the table is an array field).
 		m.cache = [steerCacheSize]steerEntry{}
 		m.cacheExact = m.ExactCEM
-		m.spans.CacheFlush()
+		if s := m.fabric.Sink(); s != nil {
+			s.SteerCacheFlush()
+		}
 	}
 	key := packSteerKey(required, alloc.Slots, unavail, dead)
 	e := &m.cache[steerCacheIndex(key)]
 	if e.key == key+1 {
 		m.stats.CacheHits++
-		if m.probe != nil {
-			m.probe.SteeringCacheLookup(true)
+		if s := m.fabric.Sink(); s != nil {
+			s.SteerCacheLookup(true)
 		}
 		var sel Selection
 		sel.Required = required
@@ -370,8 +358,8 @@ func (m *Manager) Select(required arch.Counts) Selection {
 		return sel
 	}
 	m.stats.CacheMisses++
-	if m.probe != nil {
-		m.probe.SteeringCacheLookup(false)
+	if s := m.fabric.Sink(); s != nil {
+		s.SteerCacheLookup(false)
 	}
 	sel := m.selectUncached(required, alloc, dead)
 	e.key = key + 1
@@ -439,11 +427,12 @@ func (m *Manager) Load(sel Selection) int {
 		return 0
 	}
 	target := m.basis[sel.Choice-1]
+	sink := m.fabric.Sink()
 	from := ""
 	diff := 0
-	if m.probe != nil {
+	if sink != nil {
 		// Snapshot the pre-load state for the steering-decision record.
-		from = m.classifyAllocation()
+		from = m.Classify()
 		diff = m.fabric.Allocation().Distance(target)
 	}
 	started, loading, deferred := 0, 0, 0
@@ -463,8 +452,8 @@ func (m *Manager) Load(sel Selection) int {
 	}
 	m.stats.Reconfigurations += started
 	m.stats.DeferredSlots += deferred
-	if m.probe != nil && started > 0 {
-		m.probe.ConfigSwitch(telemetry.Decision{
+	if sink != nil && started > 0 {
+		sink.ConfigSwitch(obs.Decision{
 			From:            from,
 			To:              target.Name,
 			Choice:          sel.Choice,
@@ -478,12 +467,12 @@ func (m *Manager) Load(sel Selection) int {
 	return started
 }
 
-// classifyAllocation names the live allocation for the decision log: a
-// basis configuration's name, "(empty)", or "hybrid". The answer is a
+// Classify names the live allocation for the decision log: a basis
+// configuration's name, "(empty)", or "hybrid". The answer is a
 // pure function of the allocation vector, so it is memoized against the
 // fabric's allocation version — Step calls this every cycle but the
 // vector changes only on reconfiguration installs and salvage.
-func (m *Manager) classifyAllocation() string {
+func (m *Manager) Classify() string {
 	if v := m.fabric.AllocVersion(); v != m.classifyVersion || m.classifyName == "" {
 		m.classifyName = m.classifyAllocationSlow()
 		m.classifyVersion = v
@@ -517,8 +506,8 @@ func (m *Manager) classifyAllocationSlow() string {
 func (m *Manager) Step(required arch.Counts) Selection {
 	sel := m.Select(required)
 	m.stats.Selections[sel.Choice]++
-	if m.probe != nil {
-		m.probe.Selection(sel.Errors, sel.Choice)
+	if s := m.fabric.Sink(); s != nil {
+		s.Selection(sel.Errors, sel.Choice)
 	}
 	if m.isHybrid() {
 		m.stats.HybridCycles++
@@ -543,4 +532,4 @@ func (m *Manager) Step(required arch.Counts) Selection {
 
 // isHybrid reports whether the live allocation matches none of the
 // predefined layouts (and is not empty).
-func (m *Manager) isHybrid() bool { return m.classifyAllocation() == "hybrid" }
+func (m *Manager) isHybrid() bool { return m.Classify() == "hybrid" }

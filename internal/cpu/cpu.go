@@ -23,10 +23,8 @@ import (
 	"repro/internal/fetch"
 	"repro/internal/isa"
 	"repro/internal/mem"
+	"repro/internal/obs"
 	"repro/internal/rfu"
-	"repro/internal/span"
-	"repro/internal/telemetry"
-	"repro/internal/trace"
 	"repro/internal/wakeup"
 )
 
@@ -252,9 +250,16 @@ func (p Params) Validate() error {
 		}
 	}
 	powerOfTwo := func(v int) bool { return v&(v-1) == 0 }
-	if p.MemBytes > 0 {
-		if err := mem.ValidSize(p.MemBytes); err != nil {
-			return fmt.Errorf("%w: MemBytes: %v", ErrInvalidParams, err)
+	// The substrates' own geometry predicates, over the sizes New builds.
+	d := p.withDefaults()
+	for _, err := range []error{
+		mem.ValidSize(d.MemBytes),
+		wakeup.ValidSize(d.WindowSize),
+		fetch.ValidPredictorEntries(d.PredictorEntries),
+		fetch.ValidTraceCache(d.TraceCacheLines, d.TraceCacheLineLen),
+	} {
+		if err != nil {
+			return fmt.Errorf("%w: %v", ErrInvalidParams, err)
 		}
 	}
 	if p.CacheLineBytes > 0 && !powerOfTwo(p.CacheLineBytes) {
@@ -430,10 +435,8 @@ type Processor struct {
 	fetchBuf  []fetchedEntry
 	fetchHead int
 
-	tracer        trace.Recorder
-	probe         *telemetry.Probe
-	spans         *span.Recorder
-	lastReconfigs int
+	// sink observes the pipeline; SetSink hands it to the fabric too.
+	sink obs.Sink
 
 	// manageHook, when set, intercepts the demand vector on its way to
 	// the manager: the cluster layer uses it to substitute cross-core
@@ -456,7 +459,7 @@ type Processor struct {
 }
 
 // fetchedEntry pairs a fetched instruction with the cycle it left the
-// front end, for tracing.
+// front end, for the observer's dispatch event.
 type fetchedEntry struct {
 	f     fetch.Fetched
 	cycle int
@@ -468,9 +471,6 @@ type fetchedEntry struct {
 // use Fabric().Install to preset a static machine.
 func New(prog isa.Program, params Params, manager Manager) *Processor {
 	params = params.withDefaults()
-	if params.WindowSize < 1 {
-		panic("cpu: window size must be positive")
-	}
 	p := &Processor{
 		params:  params,
 		prog:    prog,
@@ -521,31 +521,25 @@ func (p *Processor) SetManageHook(hook func(required arch.Counts) (arch.Counts, 
 	p.manageHook = hook
 }
 
-// SetTracer installs a pipeline event recorder (nil disables tracing).
-func (p *Processor) SetTracer(t trace.Recorder) { p.tracer = t }
-
-// SetTelemetry installs a telemetry probe (nil disables instrumentation;
-// the instrumented paths then cost one branch per event). The probe also
-// reaches into the fabric for reconfiguration-start events.
-func (p *Processor) SetTelemetry(probe *telemetry.Probe) {
-	p.probe = probe
-	p.fabric.SetTelemetry(probe)
+// SetSink installs the machine's observer (nil detaches it). The
+// processor reports pipeline events to it and hands it to the fabric,
+// through which the configuration policy reports too — one call reaches
+// every hook site. Observers are pure: runs are bit-identical with a
+// sink attached or not. Attach several with obs.Join.
+func (p *Processor) SetSink(s obs.Sink) {
+	p.sink = s
+	p.fabric.SetSink(s)
 }
 
-// SetSpans installs a span recorder (nil disables; the hot loop then
-// costs one branch per cycle). The recorder also reaches into the
-// fabric for reconfiguration, repair and fault spans. The recorder is
-// a pure observer: runs are bit-identical with it attached or not.
-func (p *Processor) SetSpans(r *span.Recorder) {
-	p.spans = r
-	p.fabric.SetSpans(r)
-}
+// Sink returns the installed observer, or nil.
+func (p *Processor) Sink() obs.Sink { return p.sink }
 
-// telemetryState snapshots the machine for the sampler. Called only on
-// sampling boundaries, so its cost is off the per-cycle hot path.
-func (p *Processor) telemetryState() telemetry.CoreState {
+// Snapshot reads the machine state a sampling observer records at its
+// sampling boundary (obs.Source). Called only on boundaries, so its
+// cost is off the per-cycle hot path.
+func (p *Processor) Snapshot() obs.State {
 	rfuBusy, rfuUnits, ffuBusy := p.fabric.UnitStates()
-	return telemetry.CoreState{
+	return obs.State{
 		Cycle:         p.stats.Cycles,
 		Retired:       p.stats.Retired,
 		Occupancy:     p.count,
@@ -559,28 +553,6 @@ func (p *Processor) telemetryState() telemetry.CoreState {
 		Buckets: [4]int{p.stats.CyclesIssued, p.stats.CyclesUnits,
 			p.stats.CyclesDeps, p.stats.CyclesFrontend},
 	}
-}
-
-// sampleTelemetry emits a sample when the probe's interval is due.
-func (p *Processor) sampleTelemetry() {
-	if p.probe != nil && p.probe.SampleDue() {
-		p.probe.EmitSample(p.telemetryState())
-	}
-}
-
-// emit records a pipeline event when tracing is enabled.
-func (p *Processor) emit(kind trace.Kind, seq uint64, pc uint32, latency int, text string) {
-	if p.tracer == nil {
-		return
-	}
-	p.tracer.Record(trace.Event{
-		Cycle:   p.stats.Cycles,
-		Kind:    kind,
-		Seq:     uint32(seq),
-		PC:      pc,
-		Latency: latency,
-		Text:    text,
-	})
 }
 
 // Memory exposes the data memory for input/output setup.
@@ -646,13 +618,8 @@ func (p *Processor) Cycle() {
 		return
 	}
 	p.stats.Cycles++
-	if p.probe != nil {
-		p.probe.BeginCycle(p.stats.Cycles)
-	}
-	if p.spans != nil {
-		// Advances the recorder clock and, at window boundaries, the
-		// flight-recorder anomaly triggers (fault storm, IPC collapse).
-		p.spans.BeginCycle(p.stats.Cycles, p.stats.Retired)
+	if p.sink != nil {
+		p.sink.BeginCycle(p.stats.Cycles, p.stats.Retired)
 	}
 	p.array.Tick()
 	p.fabric.Tick()
@@ -661,7 +628,10 @@ func (p *Processor) Cycle() {
 		// The final cycle retired the HALT; count it with the useful
 		// cycles so the bottleneck buckets partition the run exactly.
 		p.stats.CyclesIssued++
-		p.sampleTelemetry()
+		if p.sink != nil {
+			p.sink.EndCycle(p)
+			p.sink.RunEnd()
+		}
 		return
 	}
 	if p.manager != nil {
@@ -677,19 +647,14 @@ func (p *Processor) Cycle() {
 		}
 		if proceed {
 			p.manager.Manage(required)
-			if p.tracer != nil {
-				if n := p.fabric.Reconfigurations(); n > p.lastReconfigs {
-					p.emit(trace.KindReconfig, 0, 0, 0,
-						fmt.Sprintf("%d span(s) -> %v", n-p.lastReconfigs, p.fabric.Allocation().Slots))
-					p.lastReconfigs = n
-				}
-			}
 		}
 	}
 	p.issue()
 	p.dispatch()
 	p.fill()
-	p.sampleTelemetry()
+	if p.sink != nil {
+		p.sink.EndCycle(p)
+	}
 }
 
 // Run executes until HALT retires or maxCycles elapse. It returns the
@@ -752,10 +717,9 @@ func (p *Processor) retire() {
 		p.head = (p.head + 1) % len(p.rob)
 		p.count--
 		p.stats.Retired++
-		if p.probe != nil {
-			p.probe.Retire()
+		if p.sink != nil {
+			p.sink.Retire(e.seq, e.pc)
 		}
-		p.emit(trace.KindRetire, e.seq, e.pc, 0, "")
 		if e.halts {
 			p.halted = true
 			return
@@ -823,9 +787,6 @@ func (p *Processor) issue() {
 		e.issued = true
 		granted++
 		p.stats.IssuedByType[e.inst.Unit()]++
-		if p.probe != nil {
-			p.probe.Issue(e.inst.Unit())
-		}
 		p.execute(slot, ref)
 		if p.halted {
 			return
@@ -897,8 +858,8 @@ func (p *Processor) execute(slot int, ref rfu.UnitRef) {
 	e.actualNext = st.PC
 	e.halts = st.Halted
 	e.executed = true
-	if p.tracer != nil {
-		p.emit(trace.KindIssue, e.seq, e.pc, latency, e.inst.String())
+	if p.sink != nil {
+		p.sink.Issue(e.seq, e.pc, e.inst, latency)
 	}
 
 	if e.inst.Op.IsBranch() {
@@ -935,7 +896,6 @@ func (p *Processor) resolveBranch(slot int) {
 // flushYoungerThan squashes every in-flight instruction younger than seq
 // and rebuilds the register producer map from the survivors.
 func (p *Processor) flushYoungerThan(seq uint64) {
-	flushedBefore := p.stats.Flushed
 	for p.count > 0 {
 		tail := p.slotAt(p.count - 1)
 		e := &p.rob[tail]
@@ -946,12 +906,9 @@ func (p *Processor) flushYoungerThan(seq uint64) {
 		e.valid = false
 		p.count--
 		p.stats.Flushed++
-		if p.tracer != nil {
-			p.emit(trace.KindFlush, e.seq, e.pc, 0, e.inst.String())
+		if p.sink != nil {
+			p.sink.Squash(e.seq, e.pc, e.inst)
 		}
-	}
-	if p.probe != nil {
-		p.probe.Flushed(p.stats.Flushed - flushedBefore)
 	}
 	for i := range p.regProducer {
 		p.regProducer[i] = -1
@@ -1027,8 +984,8 @@ func (p *Processor) dispatch() {
 	for n := 0; n < p.params.DispatchWidth && p.fetchHead < len(p.fetchBuf); n++ {
 		if p.count == len(p.rob) || p.array.Free() == 0 {
 			p.stats.DispatchStallFull++
-			if p.probe != nil {
-				p.probe.DispatchStall()
+			if p.sink != nil {
+				p.sink.DispatchStall()
 			}
 			return
 		}
@@ -1041,8 +998,8 @@ func (p *Processor) dispatch() {
 		row, ok := p.array.Allocate(f.Inst.Unit(), deps, latency, uint64(slot))
 		if !ok {
 			p.stats.DispatchStallFull++
-			if p.probe != nil {
-				p.probe.DispatchStall()
+			if p.sink != nil {
+				p.sink.DispatchStall()
 			}
 			return
 		}
@@ -1059,18 +1016,11 @@ func (p *Processor) dispatch() {
 			predTaken: f.PredTaken,
 		}
 		p.count++
-		if p.probe != nil {
-			p.probe.Dispatch()
+		if p.sink != nil {
+			p.sink.Dispatch(p.seq, f.PC, f.Inst, entry.cycle)
 		}
 		if d, ok := f.Inst.Dest(); ok {
 			p.regProducer[d] = slot
-		}
-		if p.tracer != nil {
-			p.tracer.Record(trace.Event{
-				Cycle: entry.cycle, Kind: trace.KindFetch,
-				Seq: uint32(p.seq), PC: f.PC, Text: f.Inst.String(),
-			})
-			p.emit(trace.KindDispatch, p.seq, f.PC, 0, f.Inst.String())
 		}
 	}
 }

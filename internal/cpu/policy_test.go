@@ -120,6 +120,46 @@ func TestParamsValidate(t *testing.T) {
 	}
 }
 
+// TestValidateGeometryMatchesConstructors pins Validate to the
+// substrates' own geometry predicates: each spec is either rejected by
+// Validate with ErrInvalidParams and by New with a panic, or accepted
+// by both. Before the shared predicates, the rejected rows here passed
+// Validate and then panicked in New.
+func TestValidateGeometryMatchesConstructors(t *testing.T) {
+	prog := isa.MustAssemble("halt\n")
+	for _, tc := range []struct {
+		name string
+		p    Params
+		ok   bool
+	}{
+		{"window at the bitboard width", Params{WindowSize: 64}, true},
+		{"window past the bitboard width", Params{WindowSize: 65}, false},
+		{"predictor power of two", Params{PredictorEntries: 1024}, true},
+		{"predictor not a power of two", Params{PredictorEntries: 1000}, false},
+		{"gshare predictor not a power of two", Params{PredictorEntries: 1000, GshareHistoryBits: 4}, false},
+		{"trace cache power of two", Params{TraceCacheLines: 1024, TraceCacheLineLen: 1}, true},
+		{"trace cache lines not a power of two", Params{TraceCacheLines: 1000}, false},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			err := tc.p.Validate()
+			if tc.ok != (err == nil) {
+				t.Fatalf("Validate() = %v, want ok=%v", err, tc.ok)
+			}
+			if !tc.ok && !errors.Is(err, ErrInvalidParams) {
+				t.Errorf("Validate() = %v, want ErrInvalidParams", err)
+			}
+			panicked := func() (p bool) {
+				defer func() { p = recover() != nil }()
+				New(prog, tc.p, nil).Run(100)
+				return false
+			}()
+			if panicked == tc.ok {
+				t.Errorf("New panicked = %v, want %v", panicked, !tc.ok)
+			}
+		})
+	}
+}
+
 // spinProgram never halts — the RunContext tests race it against a
 // deadline or cancellation.
 func spinProgram(t *testing.T) isa.Program {

@@ -20,7 +20,7 @@ func TestTraceLifecycleEvents(t *testing.T) {
 	`)
 	p := New(prog, Params{MemBytes: 1 << 12}, nil)
 	buf := trace.NewBuffer(1000)
-	p.SetTracer(buf)
+	p.SetSink(buf)
 	if _, err := p.Run(1000); err != nil {
 		t.Fatal(err)
 	}
@@ -77,7 +77,7 @@ func TestTraceRecordsFlushesAndReconfigs(t *testing.T) {
 	p := New(prog, Params{MemBytes: 1 << 12}, nil)
 	p.SetManager(baseline.NewSteering(p.Fabric()))
 	buf := trace.NewBuffer(100000)
-	p.SetTracer(buf)
+	p.SetSink(buf)
 	if _, err := p.Run(100000); err != nil {
 		t.Fatal(err)
 	}
@@ -113,7 +113,7 @@ func TestTraceRetireCountMatchesStats(t *testing.T) {
 	`)
 	p := New(prog, Params{MemBytes: 1 << 12}, nil)
 	buf := trace.NewBuffer(100000)
-	p.SetTracer(buf)
+	p.SetSink(buf)
 	st, err := p.Run(100000)
 	if err != nil {
 		t.Fatal(err)
@@ -139,7 +139,7 @@ func TestPipeviewFromRealRun(t *testing.T) {
 	`)
 	p := New(prog, Params{MemBytes: 1 << 12}, nil)
 	buf := trace.NewBuffer(1000)
-	p.SetTracer(buf)
+	p.SetSink(buf)
 	if _, err := p.Run(1000); err != nil {
 		t.Fatal(err)
 	}
@@ -171,7 +171,7 @@ func TestTracingDoesNotChangeResults(t *testing.T) {
 		p := New(prog, Params{MemBytes: 1 << 12}, nil)
 		p.SetManager(baseline.NewSteering(p.Fabric()))
 		if traced {
-			p.SetTracer(trace.NewBuffer(10))
+			p.SetSink(trace.NewBuffer(10))
 		}
 		st, err := p.Run(100000)
 		if err != nil {

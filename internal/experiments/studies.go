@@ -51,8 +51,7 @@ func buildMachine(prog isa.Program, params cpu.Params, policy cpu.Policy) *cpu.P
 }
 
 // buildMachinePolicy is buildMachine exposing the installed manager
-// object (nil for the static policies), so studies can wire telemetry
-// into it.
+// object (nil for the static policies), so studies can read its state.
 func buildMachinePolicy(prog isa.Program, params cpu.Params, policy cpu.Policy) (*cpu.Processor, cpu.Manager) {
 	if policy == cpu.PolicyOracle {
 		params.ReconfigLatency = 1
@@ -494,8 +493,7 @@ func X8() string {
 	probe := telemetry.NewProbe(window)
 	col := &telemetry.Collector{}
 	probe.SetExporter(col)
-	p.SetTelemetry(probe)
-	steer.SetTelemetry(probe)
+	p.SetSink(probe)
 
 	for !p.Halted() && p.Stats().Cycles < MaxCycles {
 		p.Cycle()
@@ -910,14 +908,11 @@ func X18() string {
 		err error
 	}
 	results, series := sweep.Run2(len(policies), 0, func(i int) (outcome, *telemetry.Collector) {
-		p, policy := buildMachinePolicy(prog, cpu.DefaultParams(), policies[i])
+		p := buildMachine(prog, cpu.DefaultParams(), policies[i])
 		probe := telemetry.NewProbe(interval)
 		col := &telemetry.Collector{}
 		probe.SetExporter(col)
-		p.SetTelemetry(probe)
-		if ts, ok := policy.(interface{ SetTelemetry(*telemetry.Probe) }); ok {
-			ts.SetTelemetry(probe)
-		}
+		p.SetSink(probe)
 		st, err := p.Run(MaxCycles)
 		return outcome{st, err}, col
 	})

@@ -32,10 +32,19 @@ type Predictor struct {
 	lookups, hits int
 }
 
+// ValidPredictorEntries reports whether entries is a buildable predictor
+// table size: a positive power of two.
+func ValidPredictorEntries(entries int) error {
+	if entries <= 0 || entries&(entries-1) != 0 {
+		return fmt.Errorf("fetch: predictor entries %d not a positive power of two", entries)
+	}
+	return nil
+}
+
 // NewPredictor builds a predictor with the given power-of-two table size.
 func NewPredictor(entries int) *Predictor {
-	if entries <= 0 || entries&(entries-1) != 0 {
-		panic(fmt.Sprintf("fetch: predictor entries %d not a positive power of two", entries))
+	if err := ValidPredictorEntries(entries); err != nil {
+		panic(err.Error())
 	}
 	p := &Predictor{
 		counters: make([]uint8, entries),
@@ -154,11 +163,20 @@ type TraceCache struct {
 	hits, misses int
 }
 
+// ValidTraceCache reports whether the geometry is a buildable trace
+// cache: a positive power-of-two line count and a positive line length.
+func ValidTraceCache(lines, lineLen int) error {
+	if lines <= 0 || lines&(lines-1) != 0 || lineLen <= 0 {
+		return fmt.Errorf("fetch: bad trace cache geometry lines=%d len=%d", lines, lineLen)
+	}
+	return nil
+}
+
 // NewTraceCache builds a trace cache with a power-of-two number of lines,
 // each holding up to lineLen instructions.
 func NewTraceCache(lines, lineLen int) *TraceCache {
-	if lines <= 0 || lines&(lines-1) != 0 || lineLen <= 0 {
-		panic(fmt.Sprintf("fetch: bad trace cache geometry lines=%d len=%d", lines, lineLen))
+	if err := ValidTraceCache(lines, lineLen); err != nil {
+		panic(err.Error())
 	}
 	return &TraceCache{lines: make([]traceLine, lines), lineLen: lineLen, mask: uint32(lines - 1)}
 }

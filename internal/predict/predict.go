@@ -25,17 +25,16 @@
 // fairly for the configuration bus: repairs (fabric tick) go first,
 // demand steering (core.Manager.Step) second, and the prefetcher only
 // takes spans the bus has left over. Outcomes — confirm, mispredict,
-// cancel, wasted bus spans — accumulate into core.Stats and stream to
-// telemetry as record:"prefetch" events.
+// cancel, wasted bus spans — accumulate into core.Stats and reach the
+// fabric's observer (telemetry logs them as record:"prefetch" events).
 package predict
 
 import (
 	"repro/internal/arch"
 	"repro/internal/config"
 	"repro/internal/core"
+	"repro/internal/obs"
 	"repro/internal/rfu"
-	"repro/internal/span"
-	"repro/internal/telemetry"
 )
 
 // Defaults and fixed tuning constants of the predictor. The fixed-point
@@ -194,9 +193,6 @@ type Manager struct {
 	// for a full reconfiguration latency).
 	specIssued [arch.NumRFUSlots]bool
 
-	probe *telemetry.Probe
-	spans *span.Recorder
-
 	// Reusable scratch buffers so Manage never allocates.
 	unitsScratch []config.PlacedUnit
 	liveScratch  []config.PlacedUnit
@@ -226,20 +222,6 @@ func NewManagerBasis(fabric *rfu.Fabric, basis [3]config.Configuration, cfg Conf
 // Core exposes the wrapped reactive steering manager (for residency and
 // cache knobs, stats and reports).
 func (pm *Manager) Core() *core.Manager { return pm.m }
-
-// SetTelemetry installs a telemetry probe on the predictor and the
-// wrapped reactive manager (nil disables).
-func (pm *Manager) SetTelemetry(p *telemetry.Probe) {
-	pm.probe = p
-	pm.m.SetTelemetry(p)
-}
-
-// SetSpans installs a span recorder on the predictor (phase and
-// speculation spans) and the wrapped reactive manager (cache epochs).
-func (pm *Manager) SetSpans(r *span.Recorder) {
-	pm.spans = r
-	pm.m.SetSpans(r)
-}
 
 // Manage runs one cycle of prediction-augmented configuration
 // management: record demand history, run the reactive selection/load
@@ -345,10 +327,9 @@ func (pm *Manager) dominantClass() int {
 // fully successful speculation has.
 func (pm *Manager) phaseChange() {
 	pm.m.NotePrefetch(0, 0, 0, 0, 0, 1)
-	if pm.probe != nil {
-		pm.probe.Prefetch(telemetry.PrefetchEvent{Event: telemetry.PrefetchPhaseChange})
+	if s := pm.fabric.Sink(); s != nil {
+		s.PrefetchPhase()
 	}
-	pm.spans.PhaseBoundary()
 	pm.boundary()
 	if !pm.specActive {
 		return
@@ -359,7 +340,7 @@ func (pm *Manager) phaseChange() {
 	// cancelling now would mis-charge spans the shift is about to use.
 	target := pm.m.Basis()[pm.specTarget-1]
 	if pm.fabric.Allocation().Distance(target) <= 2 {
-		pm.resolveSpec(telemetry.PrefetchConfirm)
+		pm.resolveSpec(obs.OutcomeConfirm)
 	}
 }
 
@@ -418,9 +399,9 @@ func (pm *Manager) transition(sel core.Selection) {
 			if pm.curBasis == pm.specTarget {
 				// The reactive path settled on exactly what the
 				// prefetcher already loaded (or started loading).
-				pm.resolveSpec(telemetry.PrefetchConfirm)
+				pm.resolveSpec(obs.OutcomeConfirm)
 			} else {
-				pm.resolveSpec(telemetry.PrefetchMispredict)
+				pm.resolveSpec(obs.OutcomeMispredict)
 			}
 		}
 		if pm.settledBasis != 0 {
@@ -451,11 +432,11 @@ func (pm *Manager) transition(sel core.Selection) {
 		// again), so the hold gets proportionally more patience before
 		// the streak is ruled a mispredict.
 		if pm.specHeldStreak >= settleCycles+pm.fabric.ReconfigLatency()/2 {
-			pm.resolveSpec(telemetry.PrefetchMispredict)
+			pm.resolveSpec(obs.OutcomeMispredict)
 		}
 	}
 	if pm.specActive && pm.cycle-pm.specStart > pm.specTTL() {
-		pm.resolveSpec(telemetry.PrefetchCancel)
+		pm.resolveSpec(obs.OutcomeCancel)
 	}
 }
 
@@ -467,36 +448,32 @@ func (pm *Manager) specTTL() int {
 	return specTTLFallback
 }
 
-// resolveSpec closes the active speculation with the given outcome
-// event, charging wasted bus spans for mispredictions and cancels.
-func (pm *Manager) resolveSpec(event string) {
+// resolveSpec closes the active speculation with the given outcome,
+// charging wasted bus spans for mispredictions and cancels.
+func (pm *Manager) resolveSpec(outcome string) {
 	confirmed, mispredicted, cancelled, wasted := 0, 0, 0, 0
-	outcome := span.OutcomeCancel
-	switch event {
-	case telemetry.PrefetchConfirm:
+	switch outcome {
+	case obs.OutcomeConfirm:
 		confirmed = 1
-		outcome = span.OutcomeConfirm
-	case telemetry.PrefetchMispredict:
+	case obs.OutcomeMispredict:
 		mispredicted = 1
 		wasted = pm.specSpans
-		outcome = span.OutcomeMispredict
-	case telemetry.PrefetchCancel:
+	case obs.OutcomeCancel:
 		cancelled = 1
 		wasted = pm.specSpans
 	}
-	pm.spans.SpecResolve(outcome, pm.specSpans)
 	pm.m.NotePrefetch(0, confirmed, mispredicted, cancelled, wasted, 0)
-	if pm.probe != nil {
-		pm.probe.Prefetch(telemetry.PrefetchEvent{
-			Event:         event,
-			Config:        pm.m.Basis()[pm.specTarget-1].Name,
-			Spans:         pm.specSpans,
-			ConfidencePct: pm.specConfPct,
-		})
+	if s := pm.fabric.Sink(); s != nil {
+		s.PrefetchResolve(outcome, pm.specEvent(pm.specSpans))
 	}
 	pm.specActive = false
 	pm.specSpans = 0
 	pm.m.HoldTarget = 0
+}
+
+// specEvent describes the active speculation for the observer.
+func (pm *Manager) specEvent(spans int) obs.Prefetch {
+	return obs.Prefetch{Config: pm.m.Basis()[pm.specTarget-1].Name, Spans: spans, ConfidencePct: pm.specConfPct}
 }
 
 // speculate opens a new speculation when the predictor is confident and
@@ -526,7 +503,9 @@ func (pm *Manager) speculate(sel core.Selection) {
 		pm.specHeldStreak = 0
 		pm.specOpens++
 		pm.specIssued = [arch.NumRFUSlots]bool{}
-		pm.spans.SpecOpen(pm.m.Basis()[next-1].Name, confPct)
+		if s := pm.fabric.Sink(); s != nil {
+			s.PrefetchOpen(pm.specEvent(0))
+		}
 	}
 	pm.issueSpans()
 }
@@ -645,13 +624,8 @@ func (pm *Manager) issueSpans() {
 	}
 	if issued > 0 {
 		pm.m.NotePrefetch(issued, 0, 0, 0, 0, 0)
-		if pm.probe != nil {
-			pm.probe.Prefetch(telemetry.PrefetchEvent{
-				Event:         telemetry.PrefetchIssue,
-				Config:        target.Name,
-				Spans:         issued,
-				ConfidencePct: pm.specConfPct,
-			})
+		if s := pm.fabric.Sink(); s != nil {
+			s.PrefetchIssue(pm.specEvent(issued))
 		}
 	}
 }

@@ -17,7 +17,7 @@ import (
 	"repro/internal/arch"
 	"repro/internal/config"
 	"repro/internal/fault"
-	"repro/internal/telemetry"
+	"repro/internal/obs"
 )
 
 // SlotHealth is one slot's position in the fault state machine:
@@ -118,17 +118,28 @@ func (f *Fabric) InjectFault(s int, permanent bool) bool {
 		return false
 	}
 	f.health[s] = HealthCorrupt
+	f.inject(s, permanent)
+	f.recomputeHealthOK()
+	return true
+}
+
+// inject records an upset striking slot s, already marked corrupt.
+func (f *Fabric) inject(s int, permanent bool) {
 	if permanent {
 		f.permanent[s] = true
 		f.fstats.InjectedPermanent++
-		f.probe.Fault(s, telemetry.FaultInjectedPermanent)
+		f.fault(s, obs.FaultInjectedPermanent)
 	} else {
 		f.fstats.InjectedTransient++
-		f.probe.Fault(s, telemetry.FaultInjectedTransient)
+		f.fault(s, obs.FaultInjectedTransient)
 	}
-	f.spans.FaultInjected(s, permanent)
-	f.recomputeHealthOK()
-	return true
+}
+
+// fault reports a fault transition on slot s to the observer, if any.
+func (f *Fabric) fault(s int, kind obs.FaultKind) {
+	if f.sink != nil {
+		f.sink.Fault(s, kind)
+	}
 }
 
 // Health returns slot s's fault state.
@@ -257,8 +268,7 @@ func (f *Fabric) installHealth(s int) {
 		if !f.permanent[s] {
 			f.health[s] = HealthHealthy
 			f.fstats.HealedByLoad++
-			f.probe.Fault(s, telemetry.FaultRepaired)
-			f.spans.FaultHealed(s)
+			f.fault(s, obs.FaultHealed)
 		}
 	}
 }
@@ -269,14 +279,12 @@ func (f *Fabric) completeRepair(s int) {
 	if f.permanent[s] {
 		f.health[s] = HealthDead
 		f.fstats.DeadSlots++
-		f.probe.Fault(s, telemetry.FaultDead)
-		f.spans.RepairEnd(s, true)
+		f.fault(s, obs.FaultDead)
 		return
 	}
 	f.health[s] = HealthHealthy
 	f.fstats.Repaired++
-	f.probe.Fault(s, telemetry.FaultRepaired)
-	f.spans.RepairEnd(s, false)
+	f.fault(s, obs.FaultRepaired)
 }
 
 // faultTick runs once per cycle, after the timers advanced, when the
@@ -291,13 +299,14 @@ func (f *Fabric) faultTick() {
 	if f.scrubCountdown <= 0 {
 		f.scrubCountdown = f.injector.ScrubInterval()
 		f.fstats.ScrubScans++
-		f.probe.ScrubScan()
+		if f.sink != nil {
+			f.sink.ScrubScan()
+		}
 		for s := range f.health {
 			if f.health[s] == HealthCorrupt {
 				f.health[s] = HealthDetected
 				f.fstats.Detected++
-				f.probe.Fault(s, telemetry.FaultDetected)
-				f.spans.FaultDetected(s)
+				f.fault(s, obs.FaultDetected)
 				changed = true
 			}
 		}
@@ -321,8 +330,7 @@ func (f *Fabric) faultTick() {
 			continue // configuration bus fully occupied
 		}
 		f.fstats.RepairsStarted++
-		f.probe.Fault(s, telemetry.FaultRepairStart)
-		f.spans.RepairStart(s)
+		f.fault(s, obs.FaultRepairStart)
 		if f.latency == 0 {
 			f.completeRepair(s)
 		} else {
@@ -394,15 +402,7 @@ func (f *Fabric) faultTick() {
 			continue // leased to a sibling core; its injector owns the slot
 		}
 		f.health[s] = HealthCorrupt
-		if k == fault.Permanent {
-			f.permanent[s] = true
-			f.fstats.InjectedPermanent++
-			f.probe.Fault(s, telemetry.FaultInjectedPermanent)
-		} else {
-			f.fstats.InjectedTransient++
-			f.probe.Fault(s, telemetry.FaultInjectedTransient)
-		}
-		f.spans.FaultInjected(s, k == fault.Permanent)
+		f.inject(s, k == fault.Permanent)
 		changed = true
 	}
 
@@ -411,6 +411,8 @@ func (f *Fabric) faultTick() {
 	}
 	if n := f.MaskedSlots(); n > 0 {
 		f.fstats.MaskedSlotCycles += n
-		f.probe.MaskedSlotCycles(n)
+		if f.sink != nil {
+			f.sink.MaskedSlotCycles(n)
+		}
 	}
 }

@@ -15,8 +15,7 @@ import (
 	"repro/internal/arch"
 	"repro/internal/config"
 	"repro/internal/fault"
-	"repro/internal/span"
-	"repro/internal/telemetry"
+	"repro/internal/obs"
 )
 
 // UnitRef identifies one functional-unit instance: a fixed unit (by type)
@@ -72,8 +71,9 @@ type Fabric struct {
 	healthOKMask uint16
 	allocVersion uint64
 
-	probe *telemetry.Probe
-	spans *span.Recorder
+	// sink observes span rewrites and fault transitions; the
+	// configuration policies driving this fabric report through it too.
+	sink obs.Sink
 
 	// Fault injection & degraded mode (see health.go). injector is nil
 	// unless EnableFaults armed it; healthOK starts all-true so the
@@ -515,18 +515,17 @@ func (f *Fabric) Reconfigure(t arch.UnitType, start int) bool {
 	f.target[lo] = arch.Encode(t)
 	f.reconfigurations++
 	f.reconfigCycles += (hi - lo) * f.latency
-	if f.probe != nil {
-		f.probe.ReconfigStart(t, hi-lo, f.latency)
-	}
-	// The bus transaction completes in exactly latency cycles, so the
-	// span is known in full at start.
-	f.spans.Reconfig(lo, hi-lo, f.latency, t.String())
 	if f.latency == 0 {
 		for s := lo; s < hi; s++ {
 			f.alloc.Slots[s] = f.target[s]
-			if f.injector != nil {
-				f.installHealth(s)
-			}
+		}
+	}
+	if f.sink != nil {
+		f.sink.ReconfigStart(obs.Reconfig{Unit: t, Head: lo, Width: hi - lo, Latency: f.latency, Slots: f.alloc.Slots})
+	}
+	if f.latency == 0 && f.injector != nil {
+		for s := lo; s < hi; s++ {
+			f.installHealth(s)
 		}
 	}
 	f.refreshAlloc()
@@ -608,14 +607,13 @@ func (f *Fabric) Reconfiguring() bool {
 	return false
 }
 
-// SetTelemetry installs a telemetry probe notified when span rewrites
-// start (nil disables; the hook then costs one branch per rewrite).
-func (f *Fabric) SetTelemetry(probe *telemetry.Probe) { f.probe = probe }
+// SetSink installs the observer of span rewrites and fault transitions
+// (nil detaches it). The processor owning the fabric installs its sink
+// here, so the configuration policies find it through Sink.
+func (f *Fabric) SetSink(s obs.Sink) { f.sink = s }
 
-// SetSpans installs a span recorder capturing reconfiguration bus
-// transactions, repair windows and fault instants (nil disables; the
-// recorder's methods are nil-receiver safe).
-func (f *Fabric) SetSpans(r *span.Recorder) { f.spans = r }
+// Sink returns the installed observer, or nil.
+func (f *Fabric) Sink() obs.Sink { return f.sink }
 
 // ReconfiguringSlots counts slots currently mid-reconfiguration — the
 // sampler's in-flight reconfiguration gauge.

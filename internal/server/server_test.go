@@ -325,27 +325,36 @@ func TestRunBadRequests(t *testing.T) {
 	}
 }
 
-// TestRunHugeMemBytes pins the memory-size bound: a MemBytes beyond the
-// ISA's 32-bit address space is a structured 400 on every endpoint that
-// builds machines, and the server keeps serving afterwards. Before the
-// bound, a power-of-two request like this one exhausted host memory.
+// TestRunHugeMemBytes pins the geometry bounds: a MemBytes beyond the
+// ISA's 32-bit address space, a window past the wake-up array's bitboard
+// width, and predictor or trace-cache sizes that are not powers of two
+// are a structured 400 on every endpoint that builds machines, and the
+// server keeps serving afterwards. Before the bounds, the huge memory
+// exhausted host memory and the other specs panicked in the machine
+// constructor — as a job point, taking rssd down.
 func TestRunHugeMemBytes(t *testing.T) {
 	_, ts, _ := newTestServer(t, Config{})
-	const huge = `{"MemBytes": 1099511627776}`
-	cases := []struct {
-		path, body, wantCode string
-	}{
-		{"/v1/run", fmt.Sprintf(`{"source": %q, "params": %s}`, haltingSource, huge), api.CodeInvalidParams},
-		// Job submission reports a bad point as invalid_request.
-		{"/v1/jobs", fmt.Sprintf(`{"source": %q, "points": [{"params": %s}]}`, haltingSource, huge), api.CodeInvalidRequest},
-	}
-	for _, tc := range cases {
-		status, doc := postJSON(t, ts, tc.path, tc.body)
-		if status != http.StatusBadRequest {
-			t.Fatalf("%s: status = %d, want 400 (%v)", tc.path, status, doc)
+	for _, spec := range []string{
+		`{"MemBytes": 1099511627776}`,
+		`{"WindowSize": 65}`,
+		`{"PredictorEntries": 1000}`,
+		`{"TraceCacheLines": 1000}`,
+	} {
+		cases := []struct {
+			path, body, wantCode string
+		}{
+			{"/v1/run", fmt.Sprintf(`{"source": %q, "params": %s}`, haltingSource, spec), api.CodeInvalidParams},
+			// Job submission reports a bad point as invalid_request.
+			{"/v1/jobs", fmt.Sprintf(`{"source": %q, "points": [{"params": %s}]}`, haltingSource, spec), api.CodeInvalidRequest},
 		}
-		if code := errCode(t, doc); code != tc.wantCode {
-			t.Errorf("%s: code = %s, want %s", tc.path, code, tc.wantCode)
+		for _, tc := range cases {
+			status, doc := postJSON(t, ts, tc.path, tc.body)
+			if status != http.StatusBadRequest {
+				t.Fatalf("%s %s: status = %d, want 400 (%v)", tc.path, spec, status, doc)
+			}
+			if code := errCode(t, doc); code != tc.wantCode {
+				t.Errorf("%s %s: code = %s, want %s", tc.path, spec, code, tc.wantCode)
+			}
 		}
 	}
 	status, doc := postJSON(t, ts, "/v1/run", fmt.Sprintf(`{"source": %q, "params": {"MemBytes": 4096}}`, haltingSource))

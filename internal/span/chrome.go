@@ -280,11 +280,12 @@ type flightDump struct {
 // DumpFlight writes the flight ring as one JSON object. reason labels
 // the trigger that caused the dump ("" for an end-of-run dump).
 func (r *Recorder) DumpFlight(w io.Writer, reason string) error {
-	d := flightDump{Reason: reason, Triggers: r.Triggers(), Dropped: r.Dropped()}
+	d := flightDump{Reason: reason}
+	var flight []Entry
 	if r != nil {
-		d.Cycle = r.now
+		d.Cycle, d.Triggers, d.Dropped = r.now, r.triggers, r.dropped
+		flight = r.Flight()
 	}
-	flight := r.Flight()
 	d.Entries = make([]json.RawMessage, 0, len(flight))
 	for i := range flight {
 		b, err := json.Marshal(jsonRecord(&flight[i], r.Core()))

@@ -1,11 +1,10 @@
 // Package span records duration-bearing epochs from both layers of the
 // system: simulator spans (reconfiguration bus transactions, repair
 // windows, prefetch speculation, workload phases, steering-cache flush
-// epochs) and service spans (rssd request lifecycle stages). It follows
-// the same nil-sink discipline as internal/telemetry: every Recorder
-// method is safe on a nil receiver, so instrumented call sites cost one
-// predictable branch when tracing is off and the hot loop stays at
-// 0 allocs/cycle either way.
+// epochs) and service spans (rssd request lifecycle stages). A simulator
+// Recorder is one consumer of the machine's event stream (obs.Sink): it
+// is attached once, and the hot loop stays at 0 allocs/cycle with it
+// attached or not.
 //
 // The Recorder is single-goroutine (it lives inside the cycle loop) and
 // preallocates all storage up front: a bounded trace buffer for full
@@ -15,6 +14,8 @@
 // so the ring can be dumped at the moment of the anomaly rather than at
 // end of run. Entry names are static strings; recording never allocates.
 package span
+
+import "repro/internal/obs"
 
 // Kind discriminates trace entries. Span kinds carry a duration;
 // instant kinds mark a single cycle.
@@ -84,10 +85,9 @@ const (
 	TriggerFaultStorm  = "fault-storm"
 	TriggerIPCCollapse = "ipc-collapse"
 
-	OutcomeConfirm    = "confirm"
-	OutcomeMispredict = "mispredict"
-	OutcomeCancel     = "cancel"
-	OutcomeOpen       = "open"
+	// OutcomeOpen resolves a speculation still open at end of run; the
+	// others are the obs.Outcome* vocabulary.
+	OutcomeOpen = "open"
 )
 
 // Config sizes the recorder and its anomaly triggers. The zero value
@@ -156,10 +156,11 @@ const baselineWindows = 3
 
 // Recorder captures simulator spans. It is a pure observer: its
 // methods read the values passed in and mutate only recorder state,
-// so a run is bit-identical with the recorder attached or not.
-// All methods are nil-receiver safe. Not safe for concurrent use —
-// it belongs to the machine's cycle loop.
+// so a run is bit-identical with the recorder attached or not. Not
+// safe for concurrent use — it belongs to the machine's cycle loop.
 type Recorder struct {
+	obs.Nop
+
 	cfg Config
 
 	// core labels exported records with the owning cluster core's
@@ -220,12 +221,7 @@ func NewRecorder(cfg Config, slots int) *Recorder {
 // SetCore sets the cluster-core index stamped onto exported records
 // (JSONL rows carry it as "core"; the Chrome trace maps each core to
 // its own process). Scalar machines leave it at 0.
-func (r *Recorder) SetCore(core int) {
-	if r == nil {
-		return
-	}
-	r.core = core
-}
+func (r *Recorder) SetCore(core int) { r.core = core }
 
 // Core returns the cluster-core label (0 for a nil recorder).
 func (r *Recorder) Core() int {
@@ -257,9 +253,6 @@ func (r *Recorder) record(e Entry) {
 // evaluates the anomaly triggers. cycle is the machine cycle counter
 // (1-based), retired the cumulative retired-instruction count.
 func (r *Recorder) BeginCycle(cycle, retired int) {
-	if r == nil {
-		return
-	}
 	r.now = int64(cycle)
 	if int64(cycle)&r.winMask != 0 {
 		return
@@ -295,176 +288,127 @@ func (r *Recorder) trigger(reason string, got, threshold int32) {
 	}
 }
 
-// Reconfig records one reconfiguration bus transaction: a complete
-// span on the head slot's lane, since the bus finishes in exactly
-// latency cycles. unit is the functional-unit type being installed.
-func (r *Recorder) Reconfig(headSlot, width, latency int, unit string) {
-	if r == nil {
-		return
-	}
-	r.record(Entry{Kind: KindReconfig, Slot: int16(headSlot),
-		A: int32(width), B: int32(latency),
-		Start: r.now, Dur: int64(latency), Name: unit})
+// ReconfigStart records one reconfiguration bus transaction: a
+// complete span on the head slot's lane, since the bus finishes in
+// exactly latency cycles.
+func (r *Recorder) ReconfigStart(rc obs.Reconfig) {
+	r.record(Entry{Kind: KindReconfig, Slot: int16(rc.Head),
+		A: int32(rc.Width), B: int32(rc.Latency),
+		Start: r.now, Dur: int64(rc.Latency), Name: rc.Unit.String()})
 }
 
-// FaultInjected records a fault-injection instant on slot and feeds
-// the fault-storm window counter.
-func (r *Recorder) FaultInjected(slot int, permanent bool) {
-	if r == nil {
-		return
+// Fault records a fault transition on slot: injections, detections and
+// incidental heals (a steering reconfiguration rewrote a corrupt slot
+// before the scrubber saw it) are instants, and a repair window spans
+// repair start to its completion (repaired, or dead when a permanent
+// fault survived the rewrite). Injections feed the fault-storm window
+// counter.
+func (r *Recorder) Fault(slot int, kind obs.FaultKind) {
+	instant := Entry{Kind: KindFault, Slot: int16(slot), Start: r.now}
+	switch kind {
+	case obs.FaultInjectedTransient, obs.FaultInjectedPermanent:
+		r.winFaults++
+		instant.Name, instant.Aux = "inject", "transient"
+		if kind == obs.FaultInjectedPermanent {
+			instant.Aux = "permanent"
+		}
+		r.record(instant)
+	case obs.FaultDetected:
+		instant.Name, instant.Aux = "detect", "scrub"
+		r.record(instant)
+	case obs.FaultHealed:
+		instant.Name, instant.Aux = "heal", "load"
+		r.record(instant)
+	case obs.FaultRepairStart:
+		if slot < len(r.repairStart) {
+			r.repairStart[slot] = r.now
+		}
+	case obs.FaultRepaired:
+		r.closeRepair(slot, "repaired")
+	case obs.FaultDead:
+		r.closeRepair(slot, "dead")
 	}
-	r.winFaults++
-	aux := "transient"
-	if permanent {
-		aux = "permanent"
-	}
-	r.record(Entry{Kind: KindFault, Slot: int16(slot), Start: r.now,
-		Name: "inject", Aux: aux})
 }
 
-// FaultDetected records a scrub-detection instant on slot.
-func (r *Recorder) FaultDetected(slot int) {
-	if r == nil {
-		return
-	}
-	r.record(Entry{Kind: KindFault, Slot: int16(slot), Start: r.now,
-		Name: "detect", Aux: "scrub"})
-}
-
-// FaultHealed records an incidental heal (a steering reconfiguration
-// rewrote a corrupt slot before the scrubber saw it).
-func (r *Recorder) FaultHealed(slot int) {
-	if r == nil {
-		return
-	}
-	r.record(Entry{Kind: KindFault, Slot: int16(slot), Start: r.now,
-		Name: "heal", Aux: "load"})
-}
-
-// RepairStart opens a repair window on slot.
-func (r *Recorder) RepairStart(slot int) {
-	if r == nil || slot >= len(r.repairStart) {
-		return
-	}
-	r.repairStart[slot] = r.now
-}
-
-// RepairEnd closes the repair window on slot. dead marks a permanent
-// fault that survived the rewrite.
-func (r *Recorder) RepairEnd(slot int, dead bool) {
-	if r == nil || slot >= len(r.repairStart) {
+// closeRepair closes the repair window open on slot, if any.
+func (r *Recorder) closeRepair(slot int, outcome string) {
+	if slot >= len(r.repairStart) || r.repairStart[slot] < 0 {
 		return
 	}
 	start := r.repairStart[slot]
-	if start < 0 {
-		return
-	}
 	r.repairStart[slot] = -1
-	aux := "repaired"
-	if dead {
-		aux = "dead"
-	}
 	r.record(Entry{Kind: KindRepair, Slot: int16(slot),
-		Start: start, Dur: r.now - start, Name: "repair", Aux: aux})
+		Start: start, Dur: r.now - start, Name: "repair", Aux: outcome})
 }
 
-// SpecOpen opens a prefetch-speculation span predicting the named
-// configuration with the given confidence (percent). An already-open
-// speculation is resolved as cancelled first (defensive; the predictor
-// resolves before reopening).
-func (r *Recorder) SpecOpen(config string, confidencePct int) {
-	if r == nil {
-		return
-	}
-	if r.specOpen {
-		r.SpecResolve(OutcomeCancel, 0)
-	}
+// PrefetchOpen opens a prefetch-speculation span predicting p.Config
+// with p.ConfidencePct (the predictor resolves a speculation before
+// opening the next).
+func (r *Recorder) PrefetchOpen(p obs.Prefetch) {
 	r.specOpen = true
 	r.specStart = r.now
-	r.specName = config
-	r.specConf = int32(confidencePct)
+	r.specName = p.Config
+	r.specConf = int32(p.ConfidencePct)
 }
 
-// SpecResolve closes the open speculation span with the given outcome
-// (OutcomeConfirm, OutcomeMispredict or OutcomeCancel) and the number
-// of speculative bus transactions that were issued.
-func (r *Recorder) SpecResolve(outcome string, spansIssued int) {
-	if r == nil || !r.specOpen {
+// PrefetchResolve closes the open speculation span with the given
+// outcome and the number of speculative bus transactions issued.
+func (r *Recorder) PrefetchResolve(outcome string, p obs.Prefetch) {
+	if !r.specOpen {
 		return
 	}
 	r.specOpen = false
 	r.record(Entry{Kind: KindSpec, Slot: -1,
-		A: int32(spansIssued), B: r.specConf,
+		A: int32(p.Spans), B: r.specConf,
 		Start: r.specStart, Dur: r.now - r.specStart,
 		Name: r.specName, Aux: outcome})
 }
 
-// PhaseBoundary closes the current workload-phase span (if one is
-// open) and opens the next. The predictor calls this on each detected
-// phase change.
-func (r *Recorder) PhaseBoundary() {
-	if r == nil {
-		return
-	}
-	if r.phaseOpen {
-		r.record(Entry{Kind: KindPhase, Slot: -1, A: r.phaseCount,
-			Start: r.phaseStart, Dur: r.now - r.phaseStart, Name: "phase"})
-	}
+// PrefetchPhase closes the current workload-phase span (if one is
+// open) and opens the next.
+func (r *Recorder) PrefetchPhase() {
+	r.closePhase()
 	r.phaseOpen = true
 	r.phaseStart = r.now
 	r.phaseCount++
 }
 
-// AttachCacheEpochs marks that a steering cache is present, so the
-// trailing cache epoch is emitted at Finish even if no flush occurs.
-func (r *Recorder) AttachCacheEpochs() {
-	if r == nil {
-		return
-	}
-	r.cacheUsed = true
-}
+// SteerCacheLookup marks that a steering cache is in use, so the
+// trailing cache epoch is emitted at RunEnd even if no flush occurs.
+func (r *Recorder) SteerCacheLookup(bool) { r.cacheUsed = true }
 
-// CacheFlush closes the current steering-cache epoch and opens the
-// next. Called when the steering cache is flushed in place.
-func (r *Recorder) CacheFlush() {
-	if r == nil {
-		return
-	}
+// SteerCacheFlush closes the current steering-cache epoch and opens the
+// next.
+func (r *Recorder) SteerCacheFlush() {
 	r.record(Entry{Kind: KindCacheEpoch, Slot: -1,
 		Start: r.cacheStart, Dur: r.now - r.cacheStart, Name: "cache-epoch"})
 	r.cacheStart = r.now
 }
 
-// Finish closes any open epochs at the current cycle: the trailing
-// phase, cache epoch, speculation (resolved as "open") and repair
-// windows. Safe to call once at end of run; a second call is a no-op
-// until new spans open.
-func (r *Recorder) Finish() {
-	if r == nil || r.finished {
-		return
-	}
-	r.finished = true
+// closePhase closes the open workload-phase span, if any.
+func (r *Recorder) closePhase() {
 	if r.phaseOpen {
 		r.phaseOpen = false
 		r.record(Entry{Kind: KindPhase, Slot: -1, A: r.phaseCount,
 			Start: r.phaseStart, Dur: r.now - r.phaseStart, Name: "phase"})
 	}
-	if r.specOpen {
-		r.specOpen = false
-		r.record(Entry{Kind: KindSpec, Slot: -1, A: 0, B: r.specConf,
-			Start: r.specStart, Dur: r.now - r.specStart,
-			Name: r.specName, Aux: OutcomeOpen})
+}
+
+// RunEnd closes any open epochs at the current cycle: the trailing
+// phase, speculation (resolved as "open"), repair windows and cache
+// epoch. A second call is a no-op.
+func (r *Recorder) RunEnd() {
+	if r.finished {
+		return
 	}
-	for s, start := range r.repairStart {
-		if start >= 0 {
-			r.repairStart[s] = -1
-			r.record(Entry{Kind: KindRepair, Slot: int16(s),
-				Start: start, Dur: r.now - start, Name: "repair", Aux: OutcomeOpen})
-		}
+	r.finished = true
+	r.closePhase()
+	r.PrefetchResolve(OutcomeOpen, obs.Prefetch{})
+	for s := range r.repairStart {
+		r.closeRepair(s, OutcomeOpen)
 	}
 	if r.cacheUsed {
-		r.record(Entry{Kind: KindCacheEpoch, Slot: -1,
-			Start: r.cacheStart, Dur: r.now - r.cacheStart, Name: "cache-epoch"})
+		r.SteerCacheFlush()
 	}
 }
 
@@ -479,9 +423,6 @@ func (r *Recorder) Entries() []Entry {
 
 // Flight returns a copy of the flight ring, oldest first.
 func (r *Recorder) Flight() []Entry {
-	if r == nil {
-		return nil
-	}
 	out := make([]Entry, 0, r.ringLen)
 	start := r.ringPos - r.ringLen
 	if start < 0 {
@@ -494,17 +435,7 @@ func (r *Recorder) Flight() []Entry {
 }
 
 // Triggers returns how many anomaly triggers have fired.
-func (r *Recorder) Triggers() int {
-	if r == nil {
-		return 0
-	}
-	return r.triggers
-}
+func (r *Recorder) Triggers() int { return r.triggers }
 
 // Dropped returns how many entries the bounded trace buffer dropped.
-func (r *Recorder) Dropped() int {
-	if r == nil {
-		return 0
-	}
-	return r.dropped
-}
+func (r *Recorder) Dropped() int { return r.dropped }

@@ -6,34 +6,21 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"repro/internal/arch"
+	"repro/internal/obs"
 )
 
-// TestNilRecorderSafe pins the nil-sink contract: every Recorder method
-// must be a no-op on a nil receiver, because instrumented call sites in
-// the fabric and predictor call through unguarded.
+// TestNilRecorderSafe pins the accessors exporters call on a recorder
+// that may be absent (a cluster core without spans): they must be
+// no-ops on a nil receiver.
 func TestNilRecorderSafe(t *testing.T) {
 	var r *Recorder
-	r.BeginCycle(1, 0)
-	r.Reconfig(0, 2, 16, "IntAdd")
-	r.FaultInjected(1, true)
-	r.FaultDetected(1)
-	r.FaultHealed(1)
-	r.RepairStart(1)
-	r.RepairEnd(1, false)
-	r.SpecOpen("cfg", 80)
-	r.SpecResolve(OutcomeConfirm, 3)
-	r.PhaseBoundary()
-	r.AttachCacheEpochs()
-	r.CacheFlush()
-	r.Finish()
 	if got := r.Entries(); got != nil {
 		t.Errorf("nil recorder Entries() = %v, want nil", got)
 	}
-	if got := r.Flight(); got != nil {
-		t.Errorf("nil recorder Flight() = %v, want nil", got)
-	}
-	if r.Triggers() != 0 || r.Dropped() != 0 {
-		t.Error("nil recorder reported triggers or drops")
+	if r.Core() != 0 {
+		t.Error("nil recorder reported a core label")
 	}
 	var buf bytes.Buffer
 	if err := r.WriteChromeTrace(&buf); err != nil {
@@ -67,9 +54,9 @@ func TestFaultStormTrigger(t *testing.T) {
 		r.BeginCycle(c, c)
 	}
 	// Three injections in the window, threshold 2: one over.
-	r.FaultInjected(0, false)
-	r.FaultInjected(1, false)
-	r.FaultInjected(2, true)
+	r.Fault(0, obs.FaultInjectedTransient)
+	r.Fault(1, obs.FaultInjectedTransient)
+	r.Fault(2, obs.FaultInjectedPermanent)
 	if r.Triggers() != 0 {
 		t.Fatal("trigger fired before the window boundary")
 	}
@@ -95,8 +82,8 @@ func TestFaultStormTrigger(t *testing.T) {
 	}
 
 	// The counter resets per window: two more injections stay under.
-	r.FaultInjected(0, false)
-	r.FaultInjected(0, false)
+	r.Fault(0, obs.FaultInjectedTransient)
+	r.Fault(0, obs.FaultInjectedTransient)
 	r.BeginCycle(128, 128)
 	if r.Triggers() != 1 {
 		t.Errorf("Triggers() = %d after an under-threshold window, want 1", r.Triggers())
@@ -145,7 +132,7 @@ func TestFlightRingBounds(t *testing.T) {
 	r := NewRecorder(Config{MaxTrace: 6, FlightSize: 4}, 4)
 	for i := 1; i <= 10; i++ {
 		r.BeginCycle(i, i)
-		r.Reconfig(i%4, 1, int(i), "IntAdd")
+		r.ReconfigStart(obs.Reconfig{Unit: arch.IntALU, Head: i % 4, Width: 1, Latency: int(i)})
 	}
 	if got := len(r.Entries()); got != 6 {
 		t.Errorf("trace length = %d, want MaxTrace 6", got)
@@ -165,27 +152,27 @@ func TestFlightRingBounds(t *testing.T) {
 }
 
 // TestOpenSpanLifecycles exercises repair, speculation, phase and cache
-// epochs through open → close, including Finish closing trailing spans.
+// epochs through open → close, including RunEnd closing trailing spans.
 func TestOpenSpanLifecycles(t *testing.T) {
 	r := NewRecorder(Config{}, 4)
-	r.AttachCacheEpochs()
+	r.SteerCacheLookup(true)
 
 	r.BeginCycle(10, 10)
-	r.RepairStart(2)
-	r.SpecOpen("2xIntAdd", 75)
-	r.PhaseBoundary()
+	r.Fault(2, obs.FaultRepairStart)
+	r.PrefetchOpen(obs.Prefetch{Config: "2xIntAdd", ConfidencePct: 75})
+	r.PrefetchPhase()
 
 	r.BeginCycle(50, 50)
-	r.RepairEnd(2, false)
-	r.SpecResolve(OutcomeMispredict, 2)
-	r.CacheFlush()
-	r.PhaseBoundary()
+	r.Fault(2, obs.FaultRepaired)
+	r.PrefetchResolve(obs.OutcomeMispredict, obs.Prefetch{Spans: 2})
+	r.SteerCacheFlush()
+	r.PrefetchPhase()
 
 	r.BeginCycle(90, 90)
-	r.SpecOpen("4xFPMul", 60) // left open: Finish resolves it as "open"
-	r.RepairStart(1)          // left open: Finish closes it
-	r.Finish()
-	r.Finish() // idempotent
+	r.PrefetchOpen(obs.Prefetch{Config: "4xFPMul", ConfidencePct: 60}) // left open: RunEnd resolves it as "open"
+	r.Fault(1, obs.FaultRepairStart)                                   // left open: RunEnd closes it
+	r.RunEnd()
+	r.RunEnd() // idempotent
 
 	byKind := map[Kind][]Entry{}
 	for _, e := range r.Entries() {
@@ -207,7 +194,7 @@ func TestOpenSpanLifecycles(t *testing.T) {
 	if len(specs) != 2 {
 		t.Fatalf("speculation spans = %d, want 2", len(specs))
 	}
-	if specs[0].Name != "2xIntAdd" || specs[0].Aux != OutcomeMispredict ||
+	if specs[0].Name != "2xIntAdd" || specs[0].Aux != obs.OutcomeMispredict ||
 		specs[0].A != 2 || specs[0].B != 75 || specs[0].Dur != 40 {
 		t.Errorf("resolved speculation = %+v", specs[0])
 	}
@@ -243,11 +230,11 @@ func TestOpenSpanLifecycles(t *testing.T) {
 func TestWriteChromeTrace(t *testing.T) {
 	r := NewRecorder(Config{Window: 64, FaultStorm: 1}, 4)
 	r.BeginCycle(5, 5)
-	r.Reconfig(2, 2, 16, "FPMul")
-	r.FaultInjected(1, false)
-	r.FaultInjected(1, false)
+	r.ReconfigStart(obs.Reconfig{Unit: arch.FPMDU, Head: 2, Width: 2, Latency: 16})
+	r.Fault(1, obs.FaultInjectedTransient)
+	r.Fault(1, obs.FaultInjectedTransient)
 	r.BeginCycle(64, 64) // fault storm → trigger instant
-	r.Finish()
+	r.RunEnd()
 
 	var buf bytes.Buffer
 	if err := r.WriteChromeTrace(&buf); err != nil {
@@ -299,9 +286,9 @@ func TestWriteChromeTrace(t *testing.T) {
 func TestWriteJSONL(t *testing.T) {
 	r := NewRecorder(Config{}, 4)
 	r.BeginCycle(3, 3)
-	r.Reconfig(0, 1, 8, "IntAdd")
-	r.FaultInjected(0, true)
-	r.Finish()
+	r.ReconfigStart(obs.Reconfig{Unit: arch.IntALU, Head: 0, Width: 1, Latency: 8})
+	r.Fault(0, obs.FaultInjectedPermanent)
+	r.RunEnd()
 
 	var buf bytes.Buffer
 	if err := r.WriteJSONL(&buf); err != nil {
@@ -328,7 +315,7 @@ func TestDumpFlight(t *testing.T) {
 	r := NewRecorder(Config{FlightSize: 2}, 4)
 	for i := 1; i <= 5; i++ {
 		r.BeginCycle(i, i)
-		r.Reconfig(0, 1, 4, "IntAdd")
+		r.ReconfigStart(obs.Reconfig{Unit: arch.IntALU, Head: 0, Width: 1, Latency: 4})
 	}
 	var buf bytes.Buffer
 	if err := r.DumpFlight(&buf, TriggerFaultStorm); err != nil {

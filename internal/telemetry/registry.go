@@ -10,13 +10,13 @@
 //   - the hot path — one method call per pipeline event, each a plain
 //     field increment on a pre-registered metric, no allocation, no
 //     locking (a Probe belongs to exactly one machine);
-//   - the sampling path — every Interval cycles the processor hands the
-//     Probe a CoreState snapshot, which is merged with the event
-//     accumulators into a Sample and handed to the Exporter.
+//   - the sampling path — every Interval cycles the Probe reads the
+//     machine's obs.State snapshot at EndCycle and merges it with the
+//     interval counters into a Sample for the Exporter.
 //
-// Every Probe hook is safe on a nil receiver, so uninstrumented
-// machines pay one nil-check branch per event and nothing else (see
-// BenchmarkTelemetryOverhead).
+// A Probe is one consumer of the machine's event stream (obs.Sink), so
+// uninstrumented machines pay one nil-check branch per event and
+// nothing else (see BenchmarkTelemetryOverhead).
 package telemetry
 
 import (

@@ -2,6 +2,8 @@ package telemetry
 
 import (
 	"repro/internal/arch"
+	"repro/internal/isa"
+	"repro/internal/obs"
 )
 
 // Sample is one row of the per-cycle time series: the machine state at a
@@ -89,32 +91,13 @@ type Sample struct {
 }
 
 // Decision is one steering-decision log record: a configuration switch
-// the loader actually started (selection alone, with nothing loadable,
-// does not log).
+// the loader actually started, stamped with its cycle and core.
 type Decision struct {
 	Cycle int `json:"cycle"`
 	// Core labels the cluster core whose manager made the decision (0
 	// for a scalar machine).
 	Core int `json:"core"`
-	// From classifies the allocation before the switch: a basis
-	// configuration name, "(empty)", or "hybrid".
-	From string `json:"from"`
-	// To is the selected target configuration's name.
-	To string `json:"to"`
-	// Choice is the selection unit's two-bit output (1..3).
-	Choice int `json:"choice"`
-	// DiffSlots is the XOR-diff between the live allocation vector and
-	// the target layout: how many slot encodings differ at switch time.
-	DiffSlots int `json:"diffSlots"`
-	// Spans and SlotsLoading count the span rewrites started now and the
-	// slots they cover; DeferredSlots the busy slots §3.2 skipped.
-	Spans         int `json:"spans"`
-	SlotsLoading  int `json:"slotsLoading"`
-	DeferredSlots int `json:"deferredSlots"`
-	// StallSlotCycles is the loading overhead started by this switch:
-	// slots being rewritten times the per-span reconfiguration latency —
-	// the slot-cycles during which those slots cannot execute.
-	StallSlotCycles int `json:"stallSlotCycles"`
+	obs.Decision
 }
 
 // Fault-event names, the closed vocabulary of FaultEvent.Event.
@@ -146,9 +129,9 @@ type FaultEvent struct {
 // Prefetch-event names, the closed vocabulary of PrefetchEvent.Event.
 const (
 	PrefetchIssue       = "issue"
-	PrefetchConfirm     = "confirm"
-	PrefetchMispredict  = "mispredict"
-	PrefetchCancel      = "cancel"
+	PrefetchConfirm     = obs.OutcomeConfirm
+	PrefetchMispredict  = obs.OutcomeMispredict
+	PrefetchCancel      = obs.OutcomeCancel
 	PrefetchPhaseChange = "phase-change"
 )
 
@@ -157,7 +140,9 @@ const (
 // for a predicted configuration, the speculation's outcome (confirm /
 // mispredict / cancel), or a detected workload phase change. Like
 // steering decisions and fault events, prefetch events are not sampled
-// — every transition is logged.
+// — every transition is logged. For issue events Spans counts the spans
+// loaded this cycle, for mispredict/cancel the speculation's total
+// spans — the bus bandwidth wasted; Config is empty for phase changes.
 type PrefetchEvent struct {
 	Cycle int `json:"cycle"`
 	// Core labels the cluster core whose predictor logged the event (0
@@ -165,45 +150,17 @@ type PrefetchEvent struct {
 	Core int `json:"core"`
 	// Event is one of the Prefetch* constants above.
 	Event string `json:"event"`
-	// Config names the predicted target configuration (empty for
-	// phase-change events).
-	Config string `json:"config"`
-	// Spans counts the speculative span rewrites the event covers: for
-	// issue events the spans loaded this cycle, for mispredict/cancel
-	// the speculation's total spans — the bus bandwidth wasted.
-	Spans int `json:"spans"`
-	// ConfidencePct is the Markov-predictor confidence behind the
-	// speculation, in percent.
-	ConfidencePct int `json:"confidencePct"`
+	obs.Prefetch
 }
 
-// CoreState is the snapshot the processor hands the Probe at a sampling
-// boundary — the fields the Probe cannot see through its event hooks.
-type CoreState struct {
-	Cycle     int
-	Retired   int
-	Occupancy int
-	Demand    arch.Counts
-	RFUUnits  arch.Counts
-	RFUBusy   arch.Counts
-	FFUBusy   arch.Counts
-	Slots     [arch.NumRFUSlots]arch.Encoding
-
-	ReconfigSlots int
-	// MaskedSlots counts slots fault-masked away from steering and
-	// dispatch right now.
-	MaskedSlots int
-
-	// Cumulative bottleneck buckets (issued, units, deps, frontend).
-	Buckets [4]int
-}
-
-// Probe is the instrumentation hub wired into one machine: the
-// processor, configuration manager and fabric feed it events; a Sampler
-// interval drains it into an Exporter. Every method is safe on a nil
-// receiver so instrumentation call sites cost one branch when telemetry
-// is off.
+// Probe is the telemetry consumer of one machine's event stream
+// (obs.Sink): the processor, configuration manager and fabric feed it
+// events; every interval cycles it drains into an Exporter. The hot-path
+// hooks are allocation-free: records are staged in probe-owned scratch
+// before the exporter sees them.
 type Probe struct {
+	obs.Nop
+
 	interval int
 	exp      Exporter
 	reg      *Registry
@@ -244,31 +201,20 @@ type Probe struct {
 	gCEMError       [arch.NumConfigs]*Gauge
 	hOccupancy      *Histogram
 
-	// Interval accumulators, reset at each sample.
-	ivIssued    arch.Counts
-	ivRetired   int
-	ivFlushed   int
-	ivStalls    int
-	ivReconfigs int
-	ivSteerHits int
-	ivSteerMiss int
-	ivFaultsInj int
-	ivFaultsDet int
-	ivFaultsRep int
-	ivScrubs    int
-	ivPrefIss   int
-	ivPrefConf  int
-	ivPrefMisp  int
-	ivPrefCanc  int
-
-	// Latest selection-unit pass (steering-family policies only).
-	selSeen   bool
-	selErrors [arch.NumConfigs]int
-	selChoice int
+	// sample is the row being built: the event hooks accumulate its
+	// Interval* counters and latest CEM pass, EmitSample fills in the
+	// machine snapshot, exports it and starts the next row. Exporters
+	// copy or encode it before returning.
+	sample Sample
 
 	// Cumulative values at the previous sample, for interval deltas.
 	lastRetired int
 	lastBuckets [4]int
+
+	// Event-record scratch, handed to the exporter like sample.
+	decision Decision
+	fault    FaultEvent
+	prefetch PrefetchEvent
 }
 
 // NewProbe builds a probe sampling every interval cycles (interval must
@@ -336,12 +282,7 @@ func (p *Probe) SetExporter(e Exporter) { p.exp = e }
 // probe emits. Scalar machines leave it at 0; the cluster layer gives
 // each core its own probe (often sharing one exporter) so streams stay
 // attributable after interleaving.
-func (p *Probe) SetCore(core int) {
-	if p == nil {
-		return
-	}
-	p.core = core
-}
+func (p *Probe) SetCore(core int) { p.core = core }
 
 // Registry exposes the probe's metric registry (for the Prometheus
 // exporter and report code).
@@ -360,289 +301,219 @@ func (p *Probe) Interval() int {
 	return p.interval
 }
 
-// --- Hot-path hooks (all nil-safe, allocation-free) --------------------
+// note keeps the first exporter error for Flush.
+func (p *Probe) note(err error) {
+	if err != nil && p.err == nil {
+		p.err = err
+	}
+}
+
+// --- obs.Sink hooks (allocation-free) ----------------------------------
 
 // BeginCycle marks the start of simulated cycle c; decision and sample
 // records carry this cycle number.
-func (p *Probe) BeginCycle(c int) {
-	if p == nil {
-		return
-	}
+func (p *Probe) BeginCycle(c, _ int) {
 	p.cycle = c
 	p.cCycles.Inc()
 }
 
-// Dispatch records one instruction entering the window.
-func (p *Probe) Dispatch() {
-	if p == nil {
-		return
+// EndCycle emits a sample when the cycle just finished is a sampling
+// boundary.
+func (p *Probe) EndCycle(src obs.Source) {
+	if p.cycle%p.interval == 0 {
+		p.EmitSample(src.Snapshot())
 	}
-	p.cDispatched.Inc()
 }
+
+// Dispatch records one instruction entering the window.
+func (p *Probe) Dispatch(uint64, uint32, isa.Inst, int) { p.cDispatched.Inc() }
 
 // DispatchStall records a dispatch attempt blocked by a full window.
 func (p *Probe) DispatchStall() {
-	if p == nil {
-		return
-	}
 	p.cDispatchStalls.Inc()
-	p.ivStalls++
+	p.sample.IntervalDispatchStalls++
 }
 
-// Issue records one grant to a unit of type t.
-func (p *Probe) Issue(t arch.UnitType) {
-	if p == nil {
-		return
-	}
+// Issue records one grant to a unit of the instruction's type.
+func (p *Probe) Issue(_ uint64, _ uint32, in isa.Inst, _ int) {
+	t := in.Unit()
 	p.cIssued[t].Inc()
-	p.ivIssued[t]++
+	p.sample.IntervalIssued[t]++
 }
 
 // Retire records one instruction committing.
-func (p *Probe) Retire() {
-	if p == nil {
-		return
-	}
-	p.cRetired.Inc()
-	p.ivRetired++
-}
+func (p *Probe) Retire(uint64, uint32) { p.cRetired.Inc() }
 
-// Flushed records n instructions squashed by a misprediction flush.
-func (p *Probe) Flushed(n int) {
-	if p == nil || n == 0 {
-		return
-	}
-	p.cFlushed.Add(uint64(n))
-	p.ivFlushed += n
+// Squash records one instruction flushed by misprediction recovery.
+func (p *Probe) Squash(uint64, uint32, isa.Inst) {
+	p.cFlushed.Inc()
+	p.sample.IntervalFlushed++
 }
 
 // Selection records one selection-unit pass: the four CEM scores and the
 // winning candidate.
 func (p *Probe) Selection(errors [arch.NumConfigs]int, choice int) {
-	if p == nil {
-		return
-	}
-	p.selSeen = true
-	p.selErrors = errors
-	p.selChoice = choice
+	p.sample.CEMValid = true
+	p.sample.CEMErrors = errors
+	p.sample.CEMChoice = choice
 	p.cSelections[choice].Inc()
 	for i, e := range errors {
 		p.gCEMError[i].Set(int64(e))
 	}
 }
 
-// SteeringCacheLookup records one steering-cache probe: a hit replays a
+// SteerCacheLookup records one steering-cache probe: a hit replays a
 // memoized selection, a miss runs the CEM generators and fills the line.
-func (p *Probe) SteeringCacheLookup(hit bool) {
-	if p == nil {
-		return
-	}
+func (p *Probe) SteerCacheLookup(hit bool) {
 	if hit {
 		p.cSteerHits.Inc()
-		p.ivSteerHits++
+		p.sample.IntervalSteerCacheHits++
 	} else {
 		p.cSteerMisses.Inc()
-		p.ivSteerMiss++
+		p.sample.IntervalSteerCacheMisses++
 	}
 }
 
-// ConfigSwitch logs one steering decision: the loader started rewriting
-// spans toward a new configuration. The probe stamps the cycle and
-// forwards the record to the exporter immediately (decisions are not
-// sampled — every switch is logged).
-func (p *Probe) ConfigSwitch(d Decision) {
-	if p == nil {
-		return
-	}
-	d.Cycle = p.cycle
-	d.Core = p.core
+// ConfigSwitch logs one steering decision, stamped with the cycle and
+// forwarded to the exporter immediately (decisions are not sampled —
+// every switch is logged).
+func (p *Probe) ConfigSwitch(d obs.Decision) {
 	p.cDecisions.Inc()
 	if p.exp != nil {
-		if err := p.exp.Decision(&d); err != nil && p.err == nil {
-			p.err = err
-		}
+		p.decision = Decision{Cycle: p.cycle, Core: p.core, Decision: d}
+		p.note(p.exp.Decision(&p.decision))
 	}
 }
 
-// Fault logs one fault-injection state transition for slot. The probe
-// stamps the cycle, counts the event on the registry and forwards the
-// record to the exporter immediately (fault events are not sampled).
-func (p *Probe) Fault(slot int, event string) {
-	if p == nil {
-		return
-	}
-	switch event {
-	case FaultInjectedTransient:
+// faultNames maps fault transitions to FaultEvent.Event; a steering load
+// healing a corrupt slot logs as a repair.
+var faultNames = [...]string{
+	obs.FaultInjectedTransient: FaultInjectedTransient,
+	obs.FaultInjectedPermanent: FaultInjectedPermanent,
+	obs.FaultDetected:          FaultDetected,
+	obs.FaultRepairStart:       FaultRepairStart,
+	obs.FaultRepaired:          FaultRepaired,
+	obs.FaultHealed:            FaultRepaired,
+	obs.FaultDead:              FaultDead,
+}
+
+// Fault logs one fault-injection state transition for slot: counted on
+// the registry and forwarded to the exporter immediately (fault events
+// are not sampled).
+func (p *Probe) Fault(slot int, kind obs.FaultKind) {
+	switch kind {
+	case obs.FaultInjectedTransient:
 		p.cFaultsTrans.Inc()
-		p.ivFaultsInj++
-	case FaultInjectedPermanent:
+		p.sample.IntervalFaultsInjected++
+	case obs.FaultInjectedPermanent:
 		p.cFaultsPerm.Inc()
-		p.ivFaultsInj++
-	case FaultDetected:
+		p.sample.IntervalFaultsInjected++
+	case obs.FaultDetected:
 		p.cFaultsDetected.Inc()
-		p.ivFaultsDet++
-	case FaultRepaired:
+		p.sample.IntervalFaultsDetected++
+	case obs.FaultRepaired, obs.FaultHealed:
 		p.cFaultsRepaired.Inc()
-		p.ivFaultsRep++
+		p.sample.IntervalFaultsRepaired++
 	}
 	if p.exp != nil {
-		f := FaultEvent{Cycle: p.cycle, Core: p.core, Slot: slot, Event: event}
-		if err := p.exp.Fault(&f); err != nil && p.err == nil {
-			p.err = err
-		}
+		p.fault = FaultEvent{Cycle: p.cycle, Core: p.core, Slot: slot, Event: faultNames[kind]}
+		p.note(p.exp.Fault(&p.fault))
 	}
 }
 
-// Prefetch logs one speculative-prefetch event. The probe stamps the
-// cycle, counts the event on the registry (mispredict/cancel events
-// also charge their spans as wasted bus bandwidth) and forwards the
-// record to the exporter immediately (prefetch events are not sampled).
-func (p *Probe) Prefetch(ev PrefetchEvent) {
-	if p == nil {
-		return
-	}
-	ev.Cycle = p.cycle
-	ev.Core = p.core
-	switch ev.Event {
-	case PrefetchIssue:
-		p.cPrefIssued.Add(uint64(ev.Spans))
-		p.ivPrefIss += ev.Spans
-	case PrefetchConfirm:
+// PrefetchPhase logs a detected workload phase change.
+func (p *Probe) PrefetchPhase() {
+	p.cPhaseChanges.Inc()
+	p.emitPrefetch(PrefetchPhaseChange, obs.Prefetch{})
+}
+
+// PrefetchIssue logs speculative span rewrites started this cycle.
+func (p *Probe) PrefetchIssue(pf obs.Prefetch) {
+	p.cPrefIssued.Add(uint64(pf.Spans))
+	p.sample.IntervalPrefetchIssued += pf.Spans
+	p.emitPrefetch(PrefetchIssue, pf)
+}
+
+// PrefetchResolve logs a speculation's outcome; mispredicted and
+// cancelled speculations also charge their spans as wasted bus
+// bandwidth.
+func (p *Probe) PrefetchResolve(outcome string, pf obs.Prefetch) {
+	switch outcome {
+	case obs.OutcomeConfirm:
 		p.cPrefConfirmed.Inc()
-		p.ivPrefConf++
-	case PrefetchMispredict:
+		p.sample.IntervalPrefetchConfirmed++
+	case obs.OutcomeMispredict:
 		p.cPrefMispred.Inc()
-		p.cPrefWasted.Add(uint64(ev.Spans))
-		p.ivPrefMisp++
-	case PrefetchCancel:
+		p.cPrefWasted.Add(uint64(pf.Spans))
+		p.sample.IntervalPrefetchMispredicted++
+	case obs.OutcomeCancel:
 		p.cPrefCancelled.Inc()
-		p.cPrefWasted.Add(uint64(ev.Spans))
-		p.ivPrefCanc++
-	case PrefetchPhaseChange:
-		p.cPhaseChanges.Inc()
+		p.cPrefWasted.Add(uint64(pf.Spans))
+		p.sample.IntervalPrefetchCancelled++
 	}
+	p.emitPrefetch(outcome, pf)
+}
+
+// emitPrefetch forwards one prefetch record to the exporter immediately
+// (prefetch events are not sampled).
+func (p *Probe) emitPrefetch(event string, pf obs.Prefetch) {
 	if p.exp != nil {
-		if err := p.exp.Prefetch(&ev); err != nil && p.err == nil {
-			p.err = err
-		}
+		p.prefetch = PrefetchEvent{Cycle: p.cycle, Core: p.core, Event: event, Prefetch: pf}
+		p.note(p.exp.Prefetch(&p.prefetch))
 	}
 }
 
 // ScrubScan records one readback scrub pass over the fabric.
 func (p *Probe) ScrubScan() {
-	if p == nil {
-		return
-	}
 	p.cScrubScans.Inc()
-	p.ivScrubs++
+	p.sample.IntervalScrubScans++
 }
 
-// MaskedSlotCycles accumulates n slot-cycles lost to fault masking this
-// cycle (called once per cycle by the fabric when faults are enabled).
-func (p *Probe) MaskedSlotCycles(n int) {
-	if p == nil || n == 0 {
-		return
-	}
-	p.cMaskedSlotCy.Add(uint64(n))
-}
+// MaskedSlotCycles accumulates n slot-cycles lost to fault masking.
+func (p *Probe) MaskedSlotCycles(n int) { p.cMaskedSlotCy.Add(uint64(n)) }
 
-// ReconfigStart records one span rewrite beginning: a unit of type t at
-// some head slot, covering slots slots, taking latency cycles per slot
-// span.
-func (p *Probe) ReconfigStart(t arch.UnitType, slots, latency int) {
-	if p == nil {
-		return
-	}
+// ReconfigStart records one span rewrite beginning.
+func (p *Probe) ReconfigStart(r obs.Reconfig) {
 	p.cReconfigSpans.Inc()
-	p.cReconfigSlotCy.Add(uint64(slots * latency))
-	p.ivReconfigs++
+	p.cReconfigSlotCy.Add(uint64(r.Width * r.Latency))
+	p.sample.IntervalReconfigs++
 }
 
 // --- Sampling path ------------------------------------------------------
 
-// SampleDue reports whether the cycle most recently begun is a sampling
-// boundary. The caller gathers a CoreState snapshot only when it is, so
-// disabled or off-boundary cycles never pay the snapshot cost.
-func (p *Probe) SampleDue() bool {
-	return p != nil && p.cycle%p.interval == 0
-}
-
-// EmitSample merges the core snapshot with the accumulated event counts
-// into a Sample, updates the sampled gauges/histograms, hands the sample
-// to the exporter and resets the interval accumulators.
-func (p *Probe) EmitSample(cs CoreState) {
-	if p == nil {
-		return
-	}
-	s := Sample{
-		Cycle:           cs.Cycle,
-		Core:            p.core,
-		Retired:         cs.Retired,
-		IntervalRetired: cs.Retired - p.lastRetired,
-		Occupancy:       cs.Occupancy,
-		Demand:          cs.Demand,
-		IntervalIssued:  p.ivIssued,
-		RFUUnits:        cs.RFUUnits,
-		RFUBusy:         cs.RFUBusy,
-		FFUBusy:         cs.FFUBusy,
-		Slots:           cs.Slots,
-		CEMValid:        p.selSeen,
-		CEMErrors:       p.selErrors,
-		CEMChoice:       p.selChoice,
-		ReconfigSlots:   cs.ReconfigSlots,
-
-		IntervalReconfigs:      p.ivReconfigs,
-		IntervalFlushed:        p.ivFlushed,
-		IntervalDispatchStalls: p.ivStalls,
-
-		IntervalSteerCacheHits:   p.ivSteerHits,
-		IntervalSteerCacheMisses: p.ivSteerMiss,
-
-		IntervalPrefetchIssued:       p.ivPrefIss,
-		IntervalPrefetchConfirmed:    p.ivPrefConf,
-		IntervalPrefetchMispredicted: p.ivPrefMisp,
-		IntervalPrefetchCancelled:    p.ivPrefCanc,
-
-		IntervalFaultsInjected: p.ivFaultsInj,
-		IntervalFaultsDetected: p.ivFaultsDet,
-		IntervalFaultsRepaired: p.ivFaultsRep,
-		IntervalScrubScans:     p.ivScrubs,
-		MaskedSlots:            cs.MaskedSlots,
-
-		BucketIssued:   cs.Buckets[0] - p.lastBuckets[0],
-		BucketUnits:    cs.Buckets[1] - p.lastBuckets[1],
-		BucketDeps:     cs.Buckets[2] - p.lastBuckets[2],
-		BucketFrontend: cs.Buckets[3] - p.lastBuckets[3],
-	}
+// EmitSample merges the machine snapshot with the accumulated event
+// counts into a Sample, updates the sampled gauges/histograms, hands the
+// sample to the exporter and resets the interval accumulators.
+func (p *Probe) EmitSample(cs obs.State) {
+	s := &p.sample
+	s.Cycle = cs.Cycle
+	s.Core = p.core
+	s.Retired = cs.Retired
+	s.IntervalRetired = cs.Retired - p.lastRetired
 	s.IntervalIPC = float64(s.IntervalRetired) / float64(p.interval)
+	s.Occupancy = cs.Occupancy
+	s.Demand = cs.Demand
+	s.RFUUnits, s.RFUBusy, s.FFUBusy = cs.RFUUnits, cs.RFUBusy, cs.FFUBusy
+	s.Slots = cs.Slots
+	s.ReconfigSlots = cs.ReconfigSlots
+	s.MaskedSlots = cs.MaskedSlots
+	s.BucketIssued = cs.Buckets[0] - p.lastBuckets[0]
+	s.BucketUnits = cs.Buckets[1] - p.lastBuckets[1]
+	s.BucketDeps = cs.Buckets[2] - p.lastBuckets[2]
+	s.BucketFrontend = cs.Buckets[3] - p.lastBuckets[3]
 
 	p.gOccupancy.Set(int64(cs.Occupancy))
 	p.gReconfigSlots.Set(int64(cs.ReconfigSlots))
 	p.hOccupancy.Observe(int64(cs.Occupancy))
-
 	p.lastRetired = cs.Retired
 	p.lastBuckets = cs.Buckets
-	p.ivIssued = arch.Counts{}
-	p.ivRetired = 0
-	p.ivFlushed = 0
-	p.ivStalls = 0
-	p.ivReconfigs = 0
-	p.ivSteerHits = 0
-	p.ivSteerMiss = 0
-	p.ivFaultsInj = 0
-	p.ivFaultsDet = 0
-	p.ivFaultsRep = 0
-	p.ivScrubs = 0
-	p.ivPrefIss = 0
-	p.ivPrefConf = 0
-	p.ivPrefMisp = 0
-	p.ivPrefCanc = 0
 
 	if p.exp != nil {
-		if err := p.exp.Sample(&s); err != nil && p.err == nil {
-			p.err = err
-		}
+		p.note(p.exp.Sample(s))
 	}
+	// The next row starts with zero interval counters; the latest CEM
+	// pass carries over until a new selection replaces it.
+	p.sample = Sample{CEMValid: s.CEMValid, CEMErrors: s.CEMErrors, CEMChoice: s.CEMChoice}
 }
 
 // Flush flushes the exporter and returns the first error the telemetry
@@ -653,9 +524,7 @@ func (p *Probe) Flush() error {
 		return nil
 	}
 	if p.exp != nil {
-		if err := p.exp.Flush(); err != nil && p.err == nil {
-			p.err = err
-		}
+		p.note(p.exp.Flush())
 	}
 	return p.err
 }

@@ -7,7 +7,14 @@ import (
 	"testing"
 
 	"repro/internal/arch"
+	"repro/internal/isa"
+	"repro/internal/obs"
 )
+
+// snapshot is a fixed machine state for EndCycle.
+type snapshot obs.State
+
+func (s snapshot) Snapshot() obs.State { return obs.State(s) }
 
 func TestCounterGaugeHistogram(t *testing.T) {
 	reg := NewRegistry()
@@ -90,21 +97,10 @@ func TestRenderPrometheusFormat(t *testing.T) {
 	}
 }
 
+// TestProbeNilReceiverSafe pins the accessors the machine facades call
+// on a probe that may be absent (telemetry off).
 func TestProbeNilReceiverSafe(t *testing.T) {
 	var p *Probe
-	p.BeginCycle(1)
-	p.Dispatch()
-	p.DispatchStall()
-	p.Issue(arch.IntALU)
-	p.Retire()
-	p.Flushed(3)
-	p.Selection([arch.NumConfigs]int{1, 2, 3, 4}, 2)
-	p.ConfigSwitch(Decision{})
-	p.ReconfigStart(arch.FPALU, 2, 8)
-	if p.SampleDue() {
-		t.Error("nil probe reported SampleDue")
-	}
-	p.EmitSample(CoreState{})
 	if err := p.Flush(); err != nil {
 		t.Errorf("nil probe Flush = %v", err)
 	}
@@ -118,15 +114,14 @@ func TestProbeSamplingAndCounters(t *testing.T) {
 	col := &Collector{}
 	p.SetExporter(col)
 
+	load := isa.Inst{Op: isa.LW}
 	for c := 1; c <= 20; c++ {
-		p.BeginCycle(c)
-		p.Dispatch()
-		p.Issue(arch.LSU)
-		p.Retire()
-		if p.SampleDue() {
-			p.EmitSample(CoreState{Cycle: c, Retired: c, Occupancy: 3,
-				Buckets: [4]int{c, 0, 0, 0}})
-		}
+		p.BeginCycle(c, c-1)
+		p.Dispatch(uint64(c), 0, load, c)
+		p.Issue(uint64(c), 0, load, 1)
+		p.Retire(uint64(c), 0)
+		p.EndCycle(snapshot{Cycle: c, Retired: c, Occupancy: 3,
+			Buckets: [4]int{c, 0, 0, 0}})
 	}
 	if len(col.Samples) != 2 {
 		t.Fatalf("samples = %d, want 2", len(col.Samples))
@@ -153,9 +148,9 @@ func TestProbeDecisionStampedAndExported(t *testing.T) {
 	p := NewProbe(100)
 	col := &Collector{}
 	p.SetExporter(col)
-	p.BeginCycle(42)
+	p.BeginCycle(42, 0)
 	p.Selection([arch.NumConfigs]int{9, 1, 5, 7}, 1)
-	p.ConfigSwitch(Decision{From: "memory", To: "floating", Choice: 1,
+	p.ConfigSwitch(obs.Decision{From: "memory", To: "floating", Choice: 1,
 		DiffSlots: 6, Spans: 2, SlotsLoading: 4, StallSlotCycles: 32})
 	if len(col.Decisions) != 1 {
 		t.Fatalf("decisions = %d, want 1", len(col.Decisions))
@@ -178,7 +173,7 @@ func TestJSONLExporterRecords(t *testing.T) {
 	if err := e.Sample(&Sample{Cycle: 100, Occupancy: 4}); err != nil {
 		t.Fatal(err)
 	}
-	if err := e.Decision(&Decision{Cycle: 101, From: "(empty)", To: "memory"}); err != nil {
+	if err := e.Decision(&Decision{Cycle: 101, Decision: obs.Decision{From: "(empty)", To: "memory"}}); err != nil {
 		t.Fatal(err)
 	}
 	if err := e.Flush(); err != nil {
@@ -241,8 +236,8 @@ func TestPromExporterSnapshot(t *testing.T) {
 	var buf bytes.Buffer
 	e := NewProm(&buf, p.Registry())
 	p.SetExporter(e)
-	p.BeginCycle(1)
-	p.Retire()
+	p.BeginCycle(1, 0)
+	p.Retire(1, 0)
 	if err := p.Flush(); err != nil {
 		t.Fatal(err)
 	}

@@ -1,14 +1,19 @@
 // Package trace records cycle-by-cycle pipeline events from the
-// simulator — fetch, dispatch, issue, retire, flush and reconfiguration —
-// and renders them as an event log or as a per-instruction pipeline view
+// simulator — fetch, dispatch, issue, retire, flush and reconfiguration,
+// taken from the machine's event stream (obs.Sink) — and renders them
+// as an event log or as a per-instruction pipeline view
 // (one row per instruction, one column per cycle), the debugging view
 // used to inspect steering behaviour.
 package trace
 
 import (
 	"fmt"
+	"math"
 	"sort"
 	"strings"
+
+	"repro/internal/isa"
+	"repro/internal/obs"
 )
 
 // Kind classifies a pipeline event.
@@ -70,31 +75,49 @@ func (e Event) String() string {
 	}
 }
 
-// Recorder receives events; implementations must be cheap when disabled.
-type Recorder interface {
-	Record(Event)
-}
-
-// Buffer is a bounded in-memory Recorder: once the limit is reached the
-// oldest events are dropped.
+// Buffer is a bounded in-memory recorder of pipeline events and the
+// pipeline-trace consumer of a machine's event stream (obs.Sink): once
+// the limit is reached the oldest events are dropped.
 type Buffer struct {
+	obs.Nop
+
+	// LastCycle drops events after this cycle — used to trace just the
+	// start of a long run without the ring evicting the early events.
+	// NewBuffer leaves it unbounded.
+	LastCycle int
+
 	limit  int
 	events []Event
 	start  int // ring start when full
 	full   bool
+
+	cycle int // current cycle, from BeginCycle
+	// A cycle's span rewrites coalesce into one reconfig row: rcCycle is
+	// the cycle of the newest row, rcSpans its count, and rcAt the
+	// recorded-event count right after it was written (so a row is only
+	// extended while it is still the newest event).
+	rcCycle  int
+	rcSpans  int
+	rcAt     int
+	recorded int
 }
 
-// NewBuffer builds a Recorder holding at most limit events (limit must be
+// NewBuffer builds a Buffer holding at most limit events (limit must be
 // positive).
 func NewBuffer(limit int) *Buffer {
 	if limit <= 0 {
 		panic("trace: buffer limit must be positive")
 	}
-	return &Buffer{limit: limit, events: make([]Event, 0, limit)}
+	return &Buffer{limit: limit, events: make([]Event, 0, limit), LastCycle: math.MaxInt, rcCycle: -1}
 }
 
-// Record stores the event, evicting the oldest when full.
+// Record stores the event, evicting the oldest when full. Events after
+// LastCycle are dropped.
 func (b *Buffer) Record(e Event) {
+	if e.Cycle > b.LastCycle {
+		return
+	}
+	b.recorded++
 	if len(b.events) < b.limit {
 		b.events = append(b.events, e)
 		return
@@ -123,18 +146,54 @@ func (b *Buffer) Len() int { return len(b.events) }
 // Dropped reports whether the buffer ever evicted events.
 func (b *Buffer) Dropped() bool { return b.full }
 
-// Until wraps a Recorder and drops events after a cycle cutoff — used to
-// trace just the start of a long run without the ring buffer evicting the
-// early events.
-type Until struct {
-	R         Recorder
-	LastCycle int
+// BeginCycle stamps subsequent events with cycle.
+func (b *Buffer) BeginCycle(cycle, _ int) { b.cycle = cycle }
+
+// Dispatch records the instruction's fetch (at the cycle it left the
+// front end) and its dispatch.
+func (b *Buffer) Dispatch(seq uint64, pc uint32, in isa.Inst, fetchCycle int) {
+	text := in.String()
+	b.Record(Event{Cycle: fetchCycle, Kind: KindFetch, Seq: uint32(seq), PC: pc, Text: text})
+	b.Record(Event{Cycle: b.cycle, Kind: KindDispatch, Seq: uint32(seq), PC: pc, Text: text})
 }
 
-// Record forwards events at or before the cutoff cycle.
-func (u Until) Record(e Event) {
-	if e.Cycle <= u.LastCycle {
-		u.R.Record(e)
+// Issue records the instruction's issue with its execution latency.
+func (b *Buffer) Issue(seq uint64, pc uint32, in isa.Inst, latency int) {
+	b.Record(Event{Cycle: b.cycle, Kind: KindIssue, Seq: uint32(seq), PC: pc, Latency: latency, Text: in.String()})
+}
+
+// Retire records the instruction committing.
+func (b *Buffer) Retire(seq uint64, pc uint32) {
+	b.Record(Event{Cycle: b.cycle, Kind: KindRetire, Seq: uint32(seq), PC: pc})
+}
+
+// Squash records the instruction being flushed.
+func (b *Buffer) Squash(seq uint64, pc uint32, in isa.Inst) {
+	b.Record(Event{Cycle: b.cycle, Kind: KindFlush, Seq: uint32(seq), PC: pc, Text: in.String()})
+}
+
+// ReconfigStart records a span rewrite as a reconfig row; rewrites the
+// configuration manager starts in one cycle share one row, which
+// reports their count and the allocation vector after the last.
+func (b *Buffer) ReconfigStart(r obs.Reconfig) {
+	if b.cycle > b.LastCycle {
+		return
+	}
+	extend := b.rcCycle == b.cycle && b.rcAt == b.recorded
+	if extend {
+		b.rcSpans++
+	} else {
+		b.rcSpans = 1
+	}
+	e := Event{Cycle: b.cycle, Kind: KindReconfig, Text: fmt.Sprintf("%d span(s) -> %v", b.rcSpans, r.Slots)}
+	switch {
+	case !extend:
+		b.Record(e)
+		b.rcCycle, b.rcAt = b.cycle, b.recorded
+	case b.full:
+		b.events[(b.start+b.limit-1)%b.limit] = e
+	default:
+		b.events[len(b.events)-1] = e
 	}
 }
 

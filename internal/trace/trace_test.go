@@ -1,8 +1,12 @@
 package trace
 
 import (
+	"fmt"
 	"strings"
 	"testing"
+
+	"repro/internal/arch"
+	"repro/internal/obs"
 )
 
 func TestKindString(t *testing.T) {
@@ -172,9 +176,9 @@ func TestPipeviewReconfigClippedOutsideRange(t *testing.T) {
 
 func TestUntilCutsOffAfterCycle(t *testing.T) {
 	b := NewBuffer(100)
-	u := Until{R: b, LastCycle: 5}
+	b.LastCycle = 5
 	for c := 0; c < 10; c++ {
-		u.Record(Event{Cycle: c})
+		b.Record(Event{Cycle: c})
 	}
 	if b.Len() != 6 { // cycles 0..5 inclusive
 		t.Errorf("recorded %d events, want 6", b.Len())
@@ -202,5 +206,49 @@ func TestPipeviewClipsRange(t *testing.T) {
 	}
 	if Pipeview(events, 10, 5) != "" {
 		t.Error("inverted range did not produce empty output")
+	}
+}
+
+// TestReconfigRowsCoalescePerCycle: the span rewrites one configuration
+// pass starts in a cycle share one reconfig row carrying their count
+// and the final allocation; a pipeline event or a new cycle starts a
+// fresh row, and rows past LastCycle are dropped.
+func TestReconfigRowsCoalescePerCycle(t *testing.T) {
+	b := NewBuffer(100)
+	b.LastCycle = 3
+	var slots [arch.NumRFUSlots]arch.Encoding
+	rewrite := func(slot int) {
+		slots[slot] = arch.Encode(arch.LSU)
+		b.ReconfigStart(obs.Reconfig{Unit: arch.LSU, Head: slot, Width: 1, Latency: 8, Slots: slots})
+	}
+	b.BeginCycle(1, 0)
+	rewrite(0)
+	rewrite(1)
+	b.Retire(1, 0)
+	rewrite(2)
+	b.BeginCycle(2, 1)
+	rewrite(3)
+	b.BeginCycle(4, 1)
+	rewrite(4)
+
+	var got []string
+	for _, e := range b.Events() {
+		if e.Kind == KindReconfig {
+			got = append(got, fmt.Sprintf("%d: %s", e.Cycle, e.Text))
+		}
+	}
+	lsu := func(n int) (s [arch.NumRFUSlots]arch.Encoding) {
+		for i := 0; i < n; i++ {
+			s[i] = arch.Encode(arch.LSU)
+		}
+		return s
+	}
+	want := []string{
+		fmt.Sprintf("1: 2 span(s) -> %v", lsu(2)),
+		fmt.Sprintf("1: 1 span(s) -> %v", lsu(3)),
+		fmt.Sprintf("2: 1 span(s) -> %v", lsu(4)),
+	}
+	if strings.Join(got, "\n") != strings.Join(want, "\n") {
+		t.Errorf("reconfig rows:\n%s\nwant:\n%s", strings.Join(got, "\n"), strings.Join(want, "\n"))
 	}
 }

@@ -36,6 +36,14 @@ import (
 // bitboard words. The paper's machine uses arch.QueueSize = 7.
 const MaxSize = 64
 
+// ValidSize reports whether size is a buildable array: 1 to MaxSize rows.
+func ValidSize(size int) error {
+	if size <= 0 || size > MaxSize {
+		return fmt.Errorf("wakeup: array size %d outside [1, %d] rows", size, MaxSize)
+	}
+	return nil
+}
+
 // Array is the wake-up array. The zero value is unusable; use New.
 type Array struct {
 	size int
@@ -58,11 +66,8 @@ type Array struct {
 // (the paper's machine uses arch.QueueSize = 7). Sizes above MaxSize —
 // the bitboard word width — panic.
 func New(size int) *Array {
-	if size <= 0 {
-		panic("wakeup: array size must be positive")
-	}
-	if size > MaxSize {
-		panic(fmt.Sprintf("wakeup: array size %d exceeds %d rows", size, MaxSize))
+	if err := ValidSize(size); err != nil {
+		panic(err.Error())
 	}
 	return &Array{
 		size:    size,

@@ -31,6 +31,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"strings"
 
 	"repro/internal/arch"
@@ -39,6 +40,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/cpu"
 	"repro/internal/isa"
+	"repro/internal/obs"
 	"repro/internal/predict"
 	"repro/internal/queue"
 	"repro/internal/rfu"
@@ -201,13 +203,12 @@ type Options struct {
 
 // Machine is one simulated processor instance bound to a program.
 type Machine struct {
-	proc      *cpu.Processor
-	policy    Policy
-	policyObj cpu.Manager   // the installed manager object, for telemetry wiring
-	steering  *core.Manager // non-nil for steering-family policies
-	tracer    *trace.Buffer
-	probe     *telemetry.Probe
-	spans     *span.Recorder
+	proc     *cpu.Processor
+	policy   Policy
+	steering *core.Manager // non-nil for steering-family policies
+	tracer   *trace.Buffer
+	probe    *telemetry.Probe
+	spans    *span.Recorder
 }
 
 // NewMachine builds a machine for the program under the given options.
@@ -223,7 +224,6 @@ func NewMachine(prog Program, opt Options) *Machine {
 		s := baseline.NewSteeringBasis(p.Fabric(), basis)
 		s.M.MinResidency = opt.MinResidency
 		m.steering = s.M
-		m.policyObj = s
 		p.SetManager(s)
 	case PolicyStaticInteger:
 		p.Fabric().Install(basis[0])
@@ -235,19 +235,15 @@ func NewMachine(prog Program, opt Options) *Machine {
 		// Empty fabric, FFUs only.
 	case PolicyFullReconfig:
 		fr := baseline.NewFullReconfigBasis(p.Fabric(), basis)
-		m.policyObj = fr
 		p.SetManager(fr)
 	case PolicyOracle:
 		o := baseline.NewOracleBasis(p.Fabric(), basis)
-		m.policyObj = o
 		p.SetManager(o)
 	case PolicyRandom:
 		r := baseline.NewRandom(p.Fabric(), opt.Seed)
-		m.policyObj = r
 		p.SetManager(r)
 	case PolicyDemand:
 		d := core.NewDemandManager(p.Fabric())
-		m.policyObj = d
 		p.SetManager(d)
 	case PolicyPrefetch:
 		pf := predict.NewManagerBasis(p.Fabric(), basis, predict.Config{
@@ -256,7 +252,6 @@ func NewMachine(prog Program, opt Options) *Machine {
 		})
 		pf.Core().MinResidency = opt.MinResidency
 		m.steering = pf.Core()
-		m.policyObj = pf
 		p.SetManager(pf)
 	default:
 		panic(fmt.Sprintf("repro: unknown policy %d", opt.Policy))
@@ -309,12 +304,6 @@ func (m *Machine) RunContext(ctx context.Context, maxCycles int) (Stats, error) 
 	stats, err := m.proc.RunContext(ctx, maxCycles)
 	if ferr := m.probe.Flush(); err == nil && ferr != nil {
 		err = fmt.Errorf("telemetry: %w", ferr)
-	}
-	if m.spans != nil && m.proc.Halted() {
-		// Close trailing epochs (phase, cache, speculation, repairs)
-		// once the program is done. A cancelled or budget-exhausted run
-		// leaves them open so a resumed RunContext keeps recording.
-		m.spans.Finish()
 	}
 	return stats, err
 }
@@ -568,7 +557,8 @@ func (m *Machine) EnableTelemetry(w io.Writer, format string, interval int) (*te
 		return nil, fmt.Errorf("repro: unknown metrics format %q (known: jsonl, csv, prom)", format)
 	}
 	probe.SetExporter(exp)
-	m.attachProbe(probe)
+	m.probe = probe
+	m.attach(probe)
 	return probe, nil
 }
 
@@ -580,19 +570,15 @@ func (m *Machine) EnableTelemetryExporter(e telemetry.Exporter, interval int) *t
 	}
 	probe := telemetry.NewProbe(interval)
 	probe.SetExporter(e)
-	m.attachProbe(probe)
+	m.probe = probe
+	m.attach(probe)
 	return probe
 }
 
-// attachProbe wires a probe into the processor and, when the policy
-// supports it, the configuration-management stack.
-func (m *Machine) attachProbe(probe *telemetry.Probe) {
-	m.probe = probe
-	m.proc.SetTelemetry(probe)
-	if ts, ok := m.policyObj.(interface{ SetTelemetry(*telemetry.Probe) }); ok {
-		ts.SetTelemetry(probe)
-	}
-}
+// attach adds an observer to the machine's event stream, alongside any
+// already attached. The processor hands the stream to the fabric, and
+// every configuration policy reports through the fabric it steers.
+func (m *Machine) attach(s obs.Sink) { m.proc.SetSink(obs.Join(m.proc.Sink(), s)) }
 
 // Telemetry returns the attached probe, or nil when telemetry is off.
 func (m *Machine) Telemetry() *telemetry.Probe { return m.probe }
@@ -607,23 +593,14 @@ type SpanConfig = span.Config
 // — plus fault instants and flight-recorder anomaly triggers. Call
 // before Run; export the trace afterwards with the recorder's
 // WriteChromeTrace / WriteJSONL, or dump the flight ring with
-// DumpFlight. The recorder is a pure observer: runs are bit-identical
-// with it attached or not.
+// DumpFlight. Trailing epochs (phase, cache, speculation, repairs)
+// close when the program's HALT retires; a cancelled or budget-exhausted
+// run leaves them open so a resumed run keeps recording. The recorder is
+// a pure observer: runs are bit-identical with it attached or not.
 func (m *Machine) EnableSpans(cfg SpanConfig) *span.Recorder {
-	r := span.NewRecorder(cfg, arch.NumRFUSlots)
-	m.attachSpans(r)
-	return r
-}
-
-// attachSpans wires a recorder into the processor (and through it the
-// fabric) and, when the policy supports it, the configuration-
-// management stack.
-func (m *Machine) attachSpans(r *span.Recorder) {
-	m.spans = r
-	m.proc.SetSpans(r)
-	if ss, ok := m.policyObj.(interface{ SetSpans(*span.Recorder) }); ok {
-		ss.SetSpans(r)
-	}
+	m.spans = span.NewRecorder(cfg, arch.NumRFUSlots)
+	m.attach(m.spans)
+	return m.spans
 }
 
 // Spans returns the attached span recorder, or nil when span tracing
@@ -639,16 +616,14 @@ func (m *Machine) FlushTelemetry() error { return m.probe.Flush() }
 // issue, retire, flush, reconfiguration) for TraceLog and Pipeview. Call
 // before Run. When the run produces more events than the limit, the
 // oldest are dropped.
-func (m *Machine) EnableTracing(limit int) {
-	m.tracer = trace.NewBuffer(limit)
-	m.proc.SetTracer(m.tracer)
-}
+func (m *Machine) EnableTracing(limit int) { m.EnableTracingUntil(limit, math.MaxInt) }
 
 // EnableTracingUntil is EnableTracing restricted to events at or before
 // lastCycle, so the beginning of a long run survives the buffer limit.
 func (m *Machine) EnableTracingUntil(limit, lastCycle int) {
 	m.tracer = trace.NewBuffer(limit)
-	m.proc.SetTracer(trace.Until{R: m.tracer, LastCycle: lastCycle})
+	m.tracer.LastCycle = lastCycle
+	m.attach(m.tracer)
 }
 
 // TraceLog renders the recorded pipeline events one per line. Empty when
