@@ -1,6 +1,6 @@
 // rssd serves the simulator as a batch HTTP/JSON service: assemble
-// programs, run single simulations, fan synchronous sweeps out over a
-// bounded worker pool, and run durable asynchronous sweep jobs sharded
+// programs, run single simulations over a bounded worker pool, and run
+// parameter sweeps as durable asynchronous jobs, in-process or sharded
 // across a worker fleet. See internal/server for the API and the
 // README's "Server mode" and "Jobs API" sections for curl quick starts.
 //
@@ -55,7 +55,6 @@ func main() {
 		maxCycles    = flag.Int("max-cycles", 50_000_000, "default cycle budget per simulation")
 		cyclesCap    = flag.Int("cycles-cap", 500_000_000, "hard cap on request cycle budgets")
 		cacheSize    = flag.Int("cache", 64, "assembled-program LRU capacity (negative disables)")
-		sweepPoints  = flag.Int("sweep-points", 256, "max grid points per sweep request")
 		jobPoints    = flag.Int("job-points", 4096, "max grid points per asynchronous job")
 		maxJobs      = flag.Int("max-jobs", 64, "max concurrently active (non-terminal) jobs")
 		jobDir       = flag.String("job-dir", "", "durable job-store directory (empty = in-memory jobs)")
@@ -99,7 +98,6 @@ func main() {
 		DefaultMaxCycles: *maxCycles,
 		MaxCyclesCap:     *cyclesCap,
 		CacheSize:        *cacheSize,
-		MaxSweepPoints:   *sweepPoints,
 		MaxJobPoints:     *jobPoints,
 		MaxActiveJobs:    *maxJobs,
 		JobDir:           *jobDir,

@@ -217,7 +217,8 @@ func (p Params) withDefaults() Params {
 // Validate checks a parameter set before machine construction: every
 // sizing field must be non-negative (zero selects the default), and the
 // memory/cache geometries must be powers of two where the substrates
-// require it. Errors wrap ErrInvalidParams; cpu.New panics on the same
+// require it, and every resolved execution latency must be at least one
+// cycle. Errors wrap ErrInvalidParams; cpu.New panics on the same
 // conditions, so servers validate request-supplied parameters here
 // first and map the failure to a 4xx.
 func (p Params) Validate() error {
@@ -260,6 +261,21 @@ func (p Params) Validate() error {
 	} {
 		if err != nil {
 			return fmt.Errorf("%w: %v", ErrInvalidParams, err)
+		}
+	}
+	// Only an all-zero Latencies takes the defaults, so a partial table
+	// leaves zero entries that dispatch would hand to the wake-up array.
+	l := d.Latencies
+	for _, f := range []struct {
+		name string
+		v    int
+	}{
+		{"IntALU", l.IntALU}, {"IntMul", l.IntMul}, {"IntDiv", l.IntDiv},
+		{"Load", l.Load}, {"Store", l.Store}, {"FPALU", l.FPALU},
+		{"FPMul", l.FPMul}, {"FPDiv", l.FPDiv}, {"FPSqrt", l.FPSqrt},
+	} {
+		if err := wakeup.ValidLatency(f.v); err != nil {
+			return fmt.Errorf("%w: Latencies.%s: %v", ErrInvalidParams, f.name, err)
 		}
 	}
 	if p.CacheLineBytes > 0 && !powerOfTwo(p.CacheLineBytes) {

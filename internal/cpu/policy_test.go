@@ -139,6 +139,13 @@ func TestValidateGeometryMatchesConstructors(t *testing.T) {
 		{"gshare predictor not a power of two", Params{PredictorEntries: 1000, GshareHistoryBits: 4}, false},
 		{"trace cache power of two", Params{TraceCacheLines: 1024, TraceCacheLineLen: 1}, true},
 		{"trace cache lines not a power of two", Params{TraceCacheLines: 1000}, false},
+		{"full latency table", Params{Latencies: isa.DefaultLatencies()}, true},
+		{"partial latency table", Params{Latencies: isa.Latencies{IntMul: 3}}, false},
+		{"negative latency", Params{Latencies: func() isa.Latencies {
+			l := isa.DefaultLatencies()
+			l.IntALU = -1
+			return l
+		}()}, false},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			err := tc.p.Validate()

@@ -37,6 +37,8 @@ type ExecPoint struct {
 //   - err != nil: a worker-level failure (process death, connection
 //     refused, draining). The coordinator requeues the point and
 //     health-checks the executor before handing it more work.
+//
+// A panic in Execute is a point-level failure with code internal.
 type Executor interface {
 	// Name labels results and logs (e.g. "local", "worker-2").
 	Name() string
@@ -320,7 +322,7 @@ func (c *Coordinator) slotLoop(e Executor) {
 		if ms := j.Spec.PointTimeoutMs; ms > 0 {
 			pctx, cancel = context.WithTimeout(pctx, time.Duration(ms)*time.Millisecond)
 		}
-		res, err := e.Execute(pctx, t)
+		res, err := c.execute(pctx, e, t)
 		cancel()
 		if err != nil {
 			c.handleWorkerFailure(e, t, err)
@@ -335,6 +337,27 @@ func (c *Coordinator) slotLoop(e Executor) {
 		}
 		c.complete(j, res)
 	}
+}
+
+// execute runs one point on e and turns a panic into a failed point.
+// Simulation is deterministic, so a point that panicked once would
+// panic on every worker: it fails as data with code internal instead of
+// being requeued, and the slot loop keeps running.
+func (c *Coordinator) execute(ctx context.Context, e Executor, t ExecPoint) (res *api.PointResult, err error) {
+	defer func() {
+		if r := recover(); r != nil {
+			res = &api.PointResult{
+				Index:  t.Index,
+				Policy: t.Spec.Policy.String(),
+				Error: &api.Error{
+					Code:    api.CodeInternal,
+					Message: fmt.Sprintf("point %d panicked on %s: %v", t.Index, e.Name(), r),
+				},
+			}
+			err = nil
+		}
+	}()
+	return e.Execute(ctx, t)
 }
 
 // handleWorkerFailure requeues a point whose worker died under it and

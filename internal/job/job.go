@@ -10,11 +10,13 @@
 //
 // Failure semantics: a point-level simulation failure (cycle limit,
 // point deadline) is data — it lands in the point's Error field and the
-// job still completes. A worker-level failure (process death, connection
-// refused, 503) requeues the point for another worker and sidelines the
-// executor until it answers health checks again. Coordinator death
-// loses nothing: completed points are already on disk, and Resume
-// re-enqueues exactly the points without a durable result.
+// job still completes; so is a panicking executor, as code internal,
+// since the same point would panic on every worker. A worker-level
+// failure (process death, connection refused, 503) requeues the point
+// for another worker and sidelines the executor until it answers health
+// checks again. Coordinator death loses nothing: completed points are
+// already on disk, and Resume re-enqueues exactly the points without a
+// durable result.
 package job
 
 import (
@@ -34,9 +36,10 @@ import (
 type Spec struct {
 	// Label is a free-form tag from the submitter.
 	Label string `json:"label,omitempty"`
-	// Kind tags the submitting surface ("job" for POST /v1/jobs,
-	// "sweep" for the legacy synchronous shim); it keys metrics and
-	// span lanes.
+	// Kind is a stored tag: "job" for POST /v1/jobs. Job dirs written
+	// by older servers may hold "sweep" jobs from the retired
+	// synchronous /v1/sweep; they resume like any other job. Nothing
+	// keys metrics or spans on it.
 	Kind string `json:"kind"`
 	// Program is the simulation program, source or binary form.
 	Program api.Program `json:"program"`

@@ -206,6 +206,45 @@ func TestMaxAttemptsFailsPointAsData(t *testing.T) {
 	}
 }
 
+// TestPanickingExecutorFailsPoint pins the recover at the executor
+// boundary: a point whose execution panics becomes an internal-error
+// result on its first dispatch, the other points complete, and the
+// slot that recovered keeps serving.
+func TestPanickingExecutorFailsPoint(t *testing.T) {
+	st := openStore(t, "")
+	exec := &fakeExec{name: "w1", slots: 1, exec: func(_ context.Context, p ExecPoint) (*api.PointResult, error) {
+		if p.Index == 1 {
+			panic("latency must be at least 1")
+		}
+		return okResult(p), nil
+	}}
+	c := NewCoordinator(st, []Executor{exec}, Config{})
+	defer c.Close()
+
+	j, err := c.Submit(testSpec(4), 0)
+	if err != nil {
+		t.Fatalf("Submit: %v", err)
+	}
+	waitState(t, j, api.JobDone)
+	for i, r := range j.Results() {
+		if i == 1 {
+			if r.Error == nil || r.Error.Code != api.CodeInternal || !strings.Contains(r.Error.Message, "latency must be at least 1") {
+				t.Errorf("panicking point = %+v, want an internal error carrying the panic value", r)
+			}
+			if r.Attempts != 1 {
+				t.Errorf("panicking point attempts = %d, want 1 (no requeue)", r.Attempts)
+			}
+			continue
+		}
+		if r.Error != nil || len(r.Report) == 0 {
+			t.Errorf("point %d = %+v, want a report", i, r)
+		}
+	}
+	if st := j.Status(false); st.Done != 4 || st.Failed != 1 || st.Requeues != 0 {
+		t.Errorf("status = %+v, want 4 done, 1 failed, 0 requeues", st)
+	}
+}
+
 func TestCancelStopsScheduling(t *testing.T) {
 	st := openStore(t, "")
 	started := make(chan struct{}, 16)

@@ -16,6 +16,11 @@ import (
 	"repro/internal/job"
 )
 
+// jobPointKind labels every job point's metrics and spans. It is a
+// constant rather than derived from the stored job.Spec.Kind: a job dir
+// may hold jobs of kinds this server no longer registers metrics for.
+const jobPointKind = "job_point"
+
 // localExecutor runs job points in-process. Each point competes for the
 // same worker-slot semaphore as synchronous requests, so a background
 // job cannot starve interactive traffic beyond the pool's fairness.
@@ -36,7 +41,6 @@ func (e *localExecutor) Slots() int { return e.s.cfg.Workers }
 // leaves the point pending instead of recording a bogus result.
 func (e *localExecutor) Execute(ctx context.Context, p job.ExecPoint) (*api.PointResult, error) {
 	s := e.s
-	kind := p.Job.Spec.Kind + "_point" // "sweep_point" | "job_point"
 	res := &api.PointResult{Index: p.Index, Policy: p.Spec.Policy.String(), Worker: "local"}
 	lp, err := s.load(p.Job.Spec.Program.Source, p.Job.Spec.Program.Words)
 	if err != nil {
@@ -56,9 +60,9 @@ func (e *localExecutor) Execute(ctx context.Context, p job.ExecPoint) (*api.Poin
 	}
 	defer s.pool.release()
 	acquired := time.Now()
-	s.observeQueueWait(kind, acquired.Sub(p.Enqueued))
-	s.spans.Record(p.Job.SpanReq, "queue-wait", kind, p.Index, p.Enqueued, acquired)
-	report, elapsedMs, err := s.simulate(ctx, lp, p.Spec, kind, p.Job.SpanReq, p.Index)
+	s.observeQueueWait(jobPointKind, acquired.Sub(p.Enqueued))
+	s.spans.Record(p.Job.SpanReq, "queue-wait", jobPointKind, p.Index, p.Enqueued, acquired)
+	report, elapsedMs, err := s.simulate(ctx, lp, p.Spec, jobPointKind, p.Job.SpanReq, p.Index)
 	res.ElapsedMs = elapsedMs
 	if err != nil {
 		if errors.Is(err, context.Canceled) {
@@ -93,7 +97,7 @@ func (o *coordObserver) JobFinished(j *job.Job) {
 	// One fabric-level span per job lifetime, under the job's request
 	// ordinal, so a flight-recorder dump shows the whole sweep next to
 	// its per-point children.
-	o.s.spans.Record(j.SpanReq, "job", j.Spec.Kind, -1, j.Started(), time.Now())
+	o.s.spans.Record(j.SpanReq, "job", "job", -1, j.Started(), time.Now())
 }
 
 func (o *coordObserver) PointDone(j *job.Job, res *api.PointResult) {

@@ -9,10 +9,14 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"strings"
+	"sync"
 	"testing"
 
 	"repro"
@@ -445,24 +449,159 @@ func TestJobDurableAcrossRestart(t *testing.T) {
 	}
 }
 
-// TestSweepShimRecordsJobInStore pins the satellite rewiring: the
-// legacy synchronous sweep now runs through the jobs fabric, so its
-// grid shows up as a completed job of kind "sweep".
-func TestSweepShimRecordsJobInStore(t *testing.T) {
-	s, _, c := newTestServer(t, Config{Workers: 2})
-	resp, err := c.Sweep(context.Background(), api.SweepRequest{
+// sweep submits req as a job and waits for it to finish with a result
+// for every point.
+func sweep(c *client.Client, req api.JobRequest) (api.JobStatus, error) {
+	ctx := context.Background()
+	created, err := c.SubmitJob(ctx, req)
+	if err != nil {
+		return api.JobStatus{}, err
+	}
+	status, err := c.WaitJob(ctx, created.ID, nil)
+	if err == nil && (status.State != api.JobDone || len(status.Points) != len(req.Points)) {
+		err = fmt.Errorf("job %s: %s with %d of %d results", created.ID, status.State, len(status.Points), len(req.Points))
+	}
+	return status, err
+}
+
+// TestSweep runs one point per policy as a job: every result lands in
+// index order with its policy and a report.
+func TestSweep(t *testing.T) {
+	_, _, c := newTestServer(t, Config{Workers: 4})
+	req := api.JobRequest{Source: haltingSource}
+	for _, p := range repro.Policies() {
+		req.Points = append(req.Points, api.RunSpec{Policy: p})
+	}
+	status, err := sweep(c, req)
+	if err != nil {
+		t.Fatalf("sweep: %v", err)
+	}
+	for i, p := range status.Points {
+		if p.Index != i || p.Policy != req.Points[i].Policy.String() || p.Error != nil || len(p.Report) == 0 {
+			t.Errorf("point %d = %+v, want policy %s with a report", i, p, req.Points[i].Policy)
+		}
+	}
+}
+
+// TestSweepConcurrent runs several sweep jobs at once over a 2-worker
+// pool: results must stay complete and ordered while points of
+// different jobs interleave on the shared slots (the -race run is the
+// real check).
+func TestSweepConcurrent(t *testing.T) {
+	_, _, c := newTestServer(t, Config{Workers: 2})
+	req := api.JobRequest{
 		Source: haltingSource,
-		Points: []api.RunSpec{{}, {}},
+		Points: []api.RunSpec{
+			{Policy: policy(t, "steering")},
+			{Policy: policy(t, "ffu-only")},
+			{Policy: policy(t, "demand")},
+		},
+	}
+	var wg sync.WaitGroup
+	for i := 0; i < 4; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			status, err := sweep(c, req)
+			if err != nil {
+				t.Errorf("sweep: %v", err)
+				return
+			}
+			for i, p := range status.Points {
+				if p.Index != i || p.Error != nil {
+					t.Errorf("result %d = %+v, want index %d without error", i, p, i)
+				}
+			}
+		}()
+	}
+	wg.Wait()
+}
+
+// TestSweepPointErrorIsData pins point failures as data: one good point
+// and one that exhausts its cycle budget, and the job still completes
+// with the failure in that point's error field.
+func TestSweepPointErrorIsData(t *testing.T) {
+	_, _, c := newTestServer(t, Config{})
+	status, err := sweep(c, api.JobRequest{
+		Source: haltingSource,
+		Points: []api.RunSpec{{}, {MaxCycles: 2}},
 	})
-	if err != nil || len(resp.Points) != 2 {
-		t.Fatalf("sweep: %v (%d points)", err, len(resp.Points))
+	if err != nil {
+		t.Fatalf("sweep: %v", err)
 	}
-	jobs := s.Coordinator().Store().Jobs()
-	if len(jobs) != 1 {
-		t.Fatalf("store holds %d jobs after a sweep, want 1", len(jobs))
+	if e := status.Points[0].Error; e != nil {
+		t.Errorf("point 0: unexpected error %v", e)
 	}
-	if jobs[0].Spec.Kind != "sweep" || jobs[0].State() != api.JobDone {
-		t.Errorf("sweep job = kind %q state %s, want sweep/done", jobs[0].Spec.Kind, jobs[0].State())
+	if e := status.Points[1].Error; e == nil || e.Code != api.CodeCycleLimit {
+		t.Errorf("point 1: error = %v, want code %s", e, api.CodeCycleLimit)
+	}
+}
+
+// TestSweepWithFaultRates runs a fault-rate grid as a job: the points
+// with non-zero rates carry a "faults" block in their reports, the
+// fault-free point does not.
+func TestSweepWithFaultRates(t *testing.T) {
+	_, _, c := newTestServer(t, Config{Workers: 2})
+	fault := func(rate float64) repro.Params {
+		return repro.Params{FaultTransientRate: rate, FaultSeed: 11, FaultScrubInterval: 64}
+	}
+	status, err := sweep(c, api.JobRequest{
+		Source: faultySource,
+		Points: []api.RunSpec{{}, {Params: fault(0.002)}, {Params: fault(0.01)}},
+	})
+	if err != nil {
+		t.Fatalf("sweep: %v", err)
+	}
+	for i, p := range status.Points {
+		if p.Error != nil {
+			t.Fatalf("point %d: unexpected error %v", i, p.Error)
+		}
+		_, hasFaults := report(t, p.Report)["faults"]
+		if wantFaults := i > 0; hasFaults != wantFaults {
+			t.Errorf("point %d: faults block present = %v, want %v", i, hasFaults, wantFaults)
+		}
+	}
+}
+
+// TestResumeRetiredSweepJob boots a server over a job dir written by an
+// older rssd: one job of kind "sweep" from the retired synchronous
+// /v1/sweep, whose second point carries a latency table that passed the
+// Validate of its day but panics in the machine. The job resumes and
+// completes — the good point with a report, the poison point as an
+// internal error — and the server keeps serving.
+func TestResumeRetiredSweepJob(t *testing.T) {
+	dir := t.TempDir()
+	spec := fmt.Sprintf(`{"id": "j-retired-sweep", "spec": {"label": "sweep", "kind": "sweep",
+		"program": {"source": %q},
+		"points": [
+			{"policy": "steering", "params": {}, "maxCycles": 2000000},
+			{"policy": "steering", "params": {"Latencies": {"IntMul": 3}}, "maxCycles": 2000000}
+		]}}`, haltingSource)
+	if err := os.WriteFile(filepath.Join(dir, "j-retired-sweep.json"), []byte(spec), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	s, err := New(Config{Workers: 1, JobDir: dir})
+	if err != nil {
+		t.Fatalf("New: %v", err)
+	}
+	t.Cleanup(func() { s.Close() })
+	c := client.New(newHTTPServer(t, s), client.WithRetry(0, -1))
+	ctx := context.Background()
+	status, err := c.WaitJob(ctx, "j-retired-sweep", nil)
+	if err != nil {
+		t.Fatalf("wait: %v", err)
+	}
+	if status.State != api.JobDone || status.Done != 2 || status.Failed != 1 || len(status.Points) != 2 {
+		t.Fatalf("status = %+v, want done 2 points, 1 failed", status)
+	}
+	if p := status.Points[0]; p.Error != nil || len(p.Report) == 0 {
+		t.Errorf("point 0 = %+v, want a report", p)
+	}
+	if e := status.Points[1].Error; e == nil || e.Code != api.CodeInternal {
+		t.Errorf("point 1 error = %v, want code %s", e, api.CodeInternal)
+	}
+	if _, err := c.Health(ctx); err != nil {
+		t.Errorf("healthz after the poison point: %v", err)
 	}
 }
 

@@ -11,7 +11,10 @@ import (
 	"net/http"
 	"strings"
 	"testing"
+	"time"
 
+	"repro"
+	"repro/internal/api"
 	"repro/internal/span"
 )
 
@@ -84,38 +87,46 @@ func TestFlightRecorderEndpoint(t *testing.T) {
 	}
 }
 
-// TestSweepSpans checks a sweep records per-point children plus the
-// request-level sweep and encode spans, all under one request ordinal.
+// twoPointSweep is a small grid for the observability tests.
+var twoPointSweep = api.JobRequest{
+	Source: haltingSource,
+	Points: []api.RunSpec{{Policy: repro.PolicySteering}, {Policy: repro.PolicyDemand}},
+}
+
+// TestSweepSpans checks a sweep job records per-point queue-wait and
+// point spans plus one fabric-level job span, all under one request
+// ordinal.
 func TestSweepSpans(t *testing.T) {
-	_, ts, _ := newTestServer(t, Config{Workers: 2})
-	body := fmt.Sprintf(`{"source": %q, "points": [{"policy": "steering"}, {"policy": "demand"}]}`, haltingSource)
-	if code, _ := postJSON(t, ts, "/v1/sweep", body); code != http.StatusOK {
-		t.Fatalf("sweep status = %d", code)
+	_, ts, c := newTestServer(t, Config{Workers: 2})
+	if _, err := sweep(c, twoPointSweep); err != nil {
+		t.Fatalf("sweep: %v", err)
 	}
-	doc := flightDoc(t, ts.URL)
-	var points, sweeps, encodes int
+	// The job span lands right after the terminal state is published.
+	var points, waits, jobs int
 	reqs := map[uint64]bool{}
-	for _, s := range doc.Spans {
-		reqs[s.Req] = true
-		switch {
-		case s.Name == "point" && s.Kind == "sweep_point":
-			points++
-		case s.Name == "queue-wait" && s.Kind == "sweep_point":
-			if s.Point < 0 || s.Point > 1 {
-				t.Errorf("point queue-wait has index %d", s.Point)
+	for deadline := time.Now().Add(5 * time.Second); jobs == 0 && time.Now().Before(deadline); {
+		points, waits, jobs = 0, 0, 0
+		clear(reqs)
+		for _, s := range flightDoc(t, ts.URL).Spans {
+			reqs[s.Req] = true
+			switch {
+			case s.Name == "point" && s.Kind == "job_point":
+				points++
+			case s.Name == "queue-wait" && s.Kind == "job_point":
+				waits++
+				if s.Point < 0 || s.Point > 1 {
+					t.Errorf("point queue-wait has index %d", s.Point)
+				}
+			case s.Name == "job" && s.Kind == "job":
+				jobs++
 			}
-		case s.Name == "sweep":
-			sweeps++
-		case s.Name == "encode":
-			encodes++
 		}
 	}
-	if points != 2 || sweeps != 1 || encodes != 1 {
-		t.Errorf("spans = %d points, %d sweeps, %d encodes; want 2/1/1 (all: %+v)",
-			points, sweeps, encodes, doc.Spans)
+	if points != 2 || waits != 2 || jobs != 1 {
+		t.Errorf("spans = %d points, %d queue-waits, %d jobs; want 2/2/1", points, waits, jobs)
 	}
 	if len(reqs) != 1 {
-		t.Errorf("sweep spans cover %d request ordinals, want 1", len(reqs))
+		t.Errorf("job spans cover %d request ordinals, want 1", len(reqs))
 	}
 }
 
@@ -147,17 +158,18 @@ func TestDeadlineTriggerRecorded(t *testing.T) {
 // TestLatencyHistograms checks the queue-wait and handler-duration
 // histograms appear in /metrics with observations after traffic.
 func TestLatencyHistograms(t *testing.T) {
-	_, ts, _ := newTestServer(t, Config{Workers: 2})
+	_, ts, c := newTestServer(t, Config{Workers: 2})
 	postJSON(t, ts, "/v1/run", fmt.Sprintf(`{"source": %q}`, haltingSource))
-	postJSON(t, ts, "/v1/sweep",
-		fmt.Sprintf(`{"source": %q, "points": [{"policy": "steering"}, {"policy": "demand"}]}`, haltingSource))
+	if _, err := sweep(c, twoPointSweep); err != nil {
+		t.Fatalf("sweep: %v", err)
+	}
 
 	text := metricsText(t, ts.URL)
 	for _, want := range []string{
 		`rssd_queue_wait_us_count{kind="run"} 1`,
-		`rssd_queue_wait_us_count{kind="sweep_point"} 2`,
+		`rssd_queue_wait_us_count{kind="job_point"} 2`,
 		`rssd_handler_duration_us_count{handler="run"} 1`,
-		`rssd_handler_duration_us_count{handler="sweep"} 1`,
+		`rssd_handler_duration_us_count{handler="jobs"} 1`,
 	} {
 		if !strings.Contains(text, want) {
 			t.Errorf("metrics missing %q", want)

@@ -3,10 +3,10 @@
 // once (running plus waiting — beyond it requests are rejected with 503
 // rather than piling up), and a slot semaphore capping how many admitted
 // jobs actually simulate concurrently. /v1/run holds one admission token
-// and one slot per request; /v1/sweep holds one admission token for the
-// whole grid while each point competes for a slot, so a wide sweep never
-// exceeds the worker budget and never deadlocks (the sweep itself owns
-// no slot while its points wait).
+// and one slot per request; /v1/estimate holds only an admission token.
+// Job points take no admission token: the coordinator's dispatch loops
+// compete for the same slots, so background jobs never exceed the worker
+// budget.
 package server
 
 import "context"

@@ -1,8 +1,8 @@
 // Package server is the rssd batch-simulation service: an HTTP/JSON API
 // over the repro facade that assembles programs, runs single
-// simulations, and fans parameter sweeps out — synchronously over a
-// bounded worker pool, or asynchronously as durable jobs sharded across
-// a worker fleet by the internal/job coordinator. The package owns
+// simulations, and runs parameter sweeps as durable asynchronous jobs,
+// sharded by the internal/job coordinator across a worker fleet or the
+// in-process worker pool. The package owns
 // everything between the socket and the simulator — request validation
 // and size limits, the structured error envelope (internal/api),
 // per-request deadlines wired into Machine.RunContext, the
@@ -14,7 +14,6 @@
 //
 //	POST   /v1/assemble        source → encoded words + disassembly
 //	POST   /v1/run             source or words + RunSpec → run report
-//	POST   /v1/sweep           synchronous sweep (legacy shim over the jobs path)
 //	POST   /v1/jobs            submit a sweep as a durable asynchronous job
 //	GET    /v1/jobs            list jobs
 //	GET    /v1/jobs/{id}       job status (?results=1 adds per-point results)
@@ -69,9 +68,6 @@ type Config struct {
 	// CacheSize is the assembled-program LRU capacity (default 64;
 	// negative disables caching).
 	CacheSize int
-	// MaxSweepPoints caps the grid size of one synchronous sweep
-	// (default 256).
-	MaxSweepPoints int
 	// MaxJobPoints caps the grid size of one asynchronous job
 	// (default 4096).
 	MaxJobPoints int
@@ -123,9 +119,6 @@ func (c Config) withDefaults() Config {
 	if c.CacheSize == 0 {
 		c.CacheSize = 64
 	}
-	if c.MaxSweepPoints <= 0 {
-		c.MaxSweepPoints = 256
-	}
 	if c.MaxJobPoints <= 0 {
 		c.MaxJobPoints = 4096
 	}
@@ -176,7 +169,7 @@ type Server struct {
 	estimateUs    *telemetry.Histogram          // model solve µs
 
 	// spans is the service flight recorder: request lifecycle spans
-	// (queue-wait → execute → encode, one child per sweep/job point)
+	// (queue-wait → execute → encode, one child per job point)
 	// and deadline-exceeded triggers, served by GET /debug/flightrecorder.
 	spans *span.ServiceRecorder
 }
@@ -190,7 +183,7 @@ var prefetchCounterNames = []string{
 
 // handler and job-kind names used as metric label values.
 var handlerNames = []string{
-	"assemble", "run", "estimate", "sweep", "healthz", "metrics",
+	"assemble", "run", "estimate", "healthz", "metrics",
 	"flightrecorder", "jobs", "jobs_list", "job", "job_events", "job_cancel",
 }
 
@@ -207,7 +200,7 @@ func estimateBottleneckNames() []string {
 }
 
 // jobKindNames label the simulation-latency and queue-wait histograms.
-var jobKindNames = []string{"run", "sweep_point", "job_point"}
+var jobKindNames = []string{"run", jobPointKind}
 
 // jobStateNames label rssd_jobs_finished_total.
 var jobStateNames = []string{string(api.JobDone), string(api.JobCancelled)}
@@ -289,7 +282,7 @@ func New(cfg Config) (*Server, error) {
 		"Analytic model solve time in microseconds (profile plus fixed point, excluding assembly).",
 		usBounds)
 	s.jobsSubmitted = s.registry.NewCounter("rssd_sweep_jobs_submitted_total",
-		"Sweep jobs accepted by the coordinator (both surfaces: /v1/jobs and the /v1/sweep shim).")
+		"Sweep jobs accepted by the coordinator through POST /v1/jobs.")
 	s.jobsFinished = map[string]*telemetry.Counter{}
 	for _, state := range jobStateNames {
 		s.jobsFinished[state] = s.registry.NewCounter("rssd_sweep_jobs_finished_total",
@@ -338,7 +331,6 @@ func New(cfg Config) (*Server, error) {
 	timed("POST /v1/assemble", "assemble", s.handleAssemble)
 	timed("POST /v1/run", "run", s.handleRun)
 	timed("POST /v1/estimate", "estimate", s.handleEstimate)
-	timed("POST /v1/sweep", "sweep", s.handleSweep)
 	timed("POST /v1/jobs", "jobs", s.handleJobSubmit)
 	timed("GET /v1/jobs", "jobs_list", s.handleJobList)
 	timed("GET /v1/jobs/{id}", "job", s.handleJobGet)
@@ -513,6 +505,27 @@ func (lp loadedProgram) newMachine(opt repro.Options) *repro.Machine {
 	return repro.NewMachine(lp.prog, opt)
 }
 
+// newCluster builds a fresh multi-core cluster for one job: every core
+// runs the program against the shared reconfigurable fabric, each with
+// its own memory image.
+func (lp loadedProgram) newCluster(opt repro.Options) *cluster.Machine {
+	c := cluster.New(lp.program(), opt)
+	if lp.unit != nil {
+		for k := 0; k < c.Cores(); k++ {
+			lp.unit.Apply(c.Core(k).Processor().Memory())
+		}
+	}
+	return c
+}
+
+// program returns the instructions in either form.
+func (lp loadedProgram) program() repro.Program {
+	if lp.unit != nil {
+		return lp.unit.Program
+	}
+	return lp.prog
+}
+
 // load resolves the request's program: source is assembled through the
 // cache, words are decoded directly (already cheap and canonical).
 func (s *Server) load(source string, words []uint32) (loadedProgram, error) {
@@ -566,22 +579,39 @@ func (s *Server) resolveSpec(spec *api.RunSpec) error {
 	return nil
 }
 
-// simulate runs one job to completion under ctx and renders its report.
-// The caller must already hold a worker slot. req and point feed the
-// worker-execution span of the service flight recorder (point is -1
-// for non-sweep jobs).
+// simulate runs one simulation to completion under ctx and renders its
+// report. The caller must already hold a worker slot. req and point feed
+// the worker-execution span of the service flight recorder (point is -1
+// outside jobs). A spec with Cores > 1 runs a multi-core cluster and
+// reports an api.ClusterReport; timing, spans, the deadline trigger and
+// metrics are the same for both machines.
 func (s *Server) simulate(ctx context.Context, lp loadedProgram, spec api.RunSpec, kind string, req uint64, point int) (json.RawMessage, float64, error) {
-	if spec.Params.Cores > 1 {
-		return s.simulateCluster(ctx, lp, spec, kind, req, point)
-	}
-	m := lp.newMachine(repro.Options{
+	opt := repro.Options{
 		Params:       spec.Params,
 		Policy:       spec.Policy,
 		Seed:         spec.Seed,
 		MinResidency: spec.MinResidency,
-	})
+	}
+	var (
+		machines []*repro.Machine
+		run      func() error
+		render   func() ([]byte, error)
+	)
+	if spec.Params.Cores > 1 {
+		c := lp.newCluster(opt)
+		for k := 0; k < c.Cores(); k++ {
+			machines = append(machines, c.Core(k))
+		}
+		run = func() error { _, err := c.RunContext(ctx, spec.MaxCycles); return err }
+		render = func() ([]byte, error) { return clusterReport(c) }
+	} else {
+		m := lp.newMachine(opt)
+		machines = []*repro.Machine{m}
+		run = func() error { _, err := m.RunContext(ctx, spec.MaxCycles); return err }
+		render = m.ReportJSON
+	}
 	start := time.Now()
-	_, err := m.RunContext(ctx, spec.MaxCycles)
+	err := run()
 	elapsed := time.Since(start)
 	s.observeJob(kind, elapsed)
 	name := "execute"
@@ -593,57 +623,24 @@ func (s *Server) simulate(ctx context.Context, lp loadedProgram, spec api.RunSpe
 		// The service-side flight-recorder anomaly trigger.
 		s.spans.TriggerDeadline(req, kind, point, start, start.Add(elapsed))
 	}
-	s.accountMachine(m)
+	for _, m := range machines {
+		s.accountMachine(m)
+	}
 	elapsedMs := float64(elapsed) / float64(time.Millisecond)
 	if err != nil {
 		return nil, elapsedMs, err
 	}
-	report, err := m.ReportJSON()
+	report, err := render()
 	if err != nil {
 		return nil, elapsedMs, fmt.Errorf("rendering report: %w", err)
 	}
 	return report, elapsedMs, nil
 }
 
-// simulateCluster runs one multi-core cluster job (spec.Params.Cores >
-// 1): every core executes the same program against the shared
-// reconfigurable fabric, and the report is the api.ClusterReport
-// document — cluster aggregates plus one scalar report per core.
-func (s *Server) simulateCluster(ctx context.Context, lp loadedProgram, spec api.RunSpec, kind string, req uint64, point int) (json.RawMessage, float64, error) {
-	prog := lp.prog
-	if lp.unit != nil {
-		prog = lp.unit.Program
-	}
-	c := cluster.New(prog, repro.Options{
-		Params:       spec.Params,
-		Policy:       spec.Policy,
-		Seed:         spec.Seed,
-		MinResidency: spec.MinResidency,
-	})
-	if lp.unit != nil {
-		for k := 0; k < c.Cores(); k++ {
-			lp.unit.Apply(c.Core(k).Processor().Memory())
-		}
-	}
-	start := time.Now()
-	stats, err := c.RunContext(ctx, spec.MaxCycles)
-	elapsed := time.Since(start)
-	s.observeJob(kind, elapsed)
-	name := "execute"
-	if point >= 0 {
-		name = "point"
-	}
-	s.spans.Record(req, name, kind, point, start, start.Add(elapsed))
-	if errors.Is(err, context.DeadlineExceeded) {
-		s.spans.TriggerDeadline(req, kind, point, start, start.Add(elapsed))
-	}
-	for k := 0; k < c.Cores(); k++ {
-		s.accountMachine(c.Core(k))
-	}
-	elapsedMs := float64(elapsed) / float64(time.Millisecond)
-	if err != nil {
-		return nil, elapsedMs, err
-	}
+// clusterReport renders a finished cluster as the api.ClusterReport
+// document: cluster aggregates plus one scalar report per core.
+func clusterReport(c *cluster.Machine) ([]byte, error) {
+	stats := c.Stats()
 	rep := api.ClusterReport{
 		Cluster: api.ClusterSummary{
 			Cores:        c.Cores(),
@@ -656,22 +653,17 @@ func (s *Server) simulateCluster(ctx context.Context, lp loadedProgram, spec api
 		},
 	}
 	for k := 0; k < c.Cores(); k++ {
-		coreReport, rerr := c.Core(k).ReportJSON()
-		if rerr != nil {
-			return nil, elapsedMs, fmt.Errorf("rendering core %d report: %w", k, rerr)
+		coreReport, err := c.Core(k).ReportJSON()
+		if err != nil {
+			return nil, fmt.Errorf("core %d: %w", k, err)
 		}
 		rep.Cores = append(rep.Cores, coreReport)
 	}
-	report, err := json.Marshal(rep)
-	if err != nil {
-		return nil, elapsedMs, fmt.Errorf("rendering cluster report: %w", err)
-	}
-	return report, elapsedMs, nil
+	return json.Marshal(rep)
 }
 
 // accountMachine lands one finished machine's steering-cache and
-// prefetch counters on the service metrics — shared by the scalar
-// simulate path and the cluster path's per-core accounting.
+// prefetch counters on the service metrics; a cluster lands each core.
 func (s *Server) accountMachine(m *repro.Machine) {
 	if hits, misses, ok := m.SteeringCacheStats(); ok {
 		s.mmu.Lock()
@@ -819,12 +811,8 @@ func (s *Server) handleEstimate(w http.ResponseWriter, r *http.Request) {
 	}
 	defer leave()
 
-	prog := lp.prog
-	if lp.unit != nil {
-		prog = lp.unit.Program
-	}
 	start := time.Now()
-	est, err := repro.EstimateIPC(prog, repro.Options{Params: spec.Params, Policy: spec.Policy})
+	est, err := repro.EstimateIPC(lp.program(), repro.Options{Params: spec.Params, Policy: spec.Policy})
 	solve := time.Since(start)
 	if err != nil {
 		s.fail(w, "estimate", err)
@@ -849,120 +837,6 @@ func (s *Server) countEstimate(bottleneck string, solve time.Duration) {
 	s.estimateUs.Observe(solve.Microseconds())
 }
 
-// handleSweep is the legacy synchronous sweep, reimplemented as a thin
-// create-job-and-wait wrapper over the jobs path: the grid becomes a
-// coordinator job (kind "sweep"), the handler blocks on its events
-// until completion, and the response shape is unchanged — point
-// failures are data, a sweep-wide deadline or disconnect cancels the
-// job and fails the request, exactly as before.
-func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
-	s.countRequest("sweep")
-	var req api.SweepRequest
-	if err := s.decode(w, r, &req); err != nil {
-		s.fail(w, "sweep", err)
-		return
-	}
-	d, err := s.timeout(req.TimeoutMs)
-	if err != nil {
-		s.fail(w, "sweep", err)
-		return
-	}
-	if len(req.Points) == 0 {
-		s.fail(w, "sweep", api.InvalidRequestf("points must not be empty"))
-		return
-	}
-	if len(req.Points) > s.cfg.MaxSweepPoints {
-		s.fail(w, "sweep", api.InvalidRequestf("%d points exceed the sweep cap of %d",
-			len(req.Points), s.cfg.MaxSweepPoints))
-		return
-	}
-	lp, err := s.load(req.Source, req.Words)
-	if err != nil {
-		s.fail(w, "sweep", err)
-		return
-	}
-	specs := make([]api.RunSpec, len(req.Points))
-	for i := range req.Points {
-		specs[i] = req.Points[i]
-		if err := s.resolveSpec(&specs[i]); err != nil {
-			s.fail(w, "sweep", fmt.Errorf("point %d: %w", i, err))
-			return
-		}
-	}
-	leave, err := s.admitJob()
-	if err != nil {
-		s.fail(w, "sweep", err)
-		return
-	}
-	defer leave()
-
-	reqID := s.spans.NextRequest()
-	ctx, cancel := context.WithTimeout(r.Context(), d)
-	defer cancel()
-	start := time.Now()
-	j, err := s.coord.Submit(job.Spec{
-		Label:   "sweep",
-		Kind:    "sweep",
-		Program: api.Program{Source: req.Source, Words: req.Words},
-		Points:  specs,
-	}, reqID)
-	if err != nil {
-		s.fail(w, "sweep", err)
-		return
-	}
-	runErr := s.waitJob(ctx, j)
-	// The request-level sweep span covers the whole grid; its per-point
-	// children carry their own queue-wait and execution stages.
-	s.spans.Record(reqID, "sweep", "sweep", -1, start, time.Now())
-	// A sweep-wide context error makes the whole response an error: a
-	// sweep that hit its deadline or lost its client has incomplete
-	// results, so partial reports are not served as if they were the
-	// full grid. The job is cancelled — its completed points stay in
-	// the store, the rest never run.
-	if runErr != nil {
-		s.coord.Cancel(j.ID) //nolint:errcheck // the job is known to exist
-		if errors.Is(runErr, context.DeadlineExceeded) {
-			s.spans.TriggerDeadline(reqID, "sweep", -1, start, time.Now())
-		}
-		s.fail(w, "sweep", runErr)
-		return
-	}
-	points := make([]api.SweepPointResult, 0, len(specs))
-	for _, res := range j.Results() {
-		points = append(points, api.SweepPointResult{
-			Index:  res.Index,
-			Policy: res.Policy,
-			Report: res.Report,
-			Error:  res.Error,
-		})
-	}
-	encodeStart := time.Now()
-	writeJSON(w, http.StatusOK, api.SweepResponse{
-		Points:    points,
-		ElapsedMs: float64(time.Since(start)) / float64(time.Millisecond),
-		Cached:    lp.cached,
-	})
-	s.spans.Record(reqID, "encode", "sweep", -1, encodeStart, time.Now())
-}
-
-// waitJob blocks until j reaches a terminal state or ctx ends.
-func (s *Server) waitJob(ctx context.Context, j *job.Job) error {
-	_, ch := j.Subscribe()
-	for {
-		select {
-		case ev, ok := <-ch:
-			if !ok {
-				return nil
-			}
-			if ev.Type == api.EventState && ev.State.Terminal() {
-				return nil
-			}
-		case <-ctx.Done():
-			return ctx.Err()
-		}
-	}
-}
-
 func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	s.countRequest("healthz")
 	status := "ok"
@@ -981,7 +855,7 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 }
 
 // handleFlightRecorder serves the service-span flight ring as JSON: the
-// last N request lifecycle spans (queue-wait, execute, encode, sweep
+// last N request lifecycle spans (queue-wait, execute, encode, job
 // points) plus deadline-trigger counters. It reads a snapshot under the
 // recorder's own lock, so it is safe to hit while requests are in flight.
 func (s *Server) handleFlightRecorder(w http.ResponseWriter, r *http.Request) {

@@ -259,34 +259,6 @@ func TestRunClusterBadMode(t *testing.T) {
 	}
 }
 
-func TestSweepWithFaultRates(t *testing.T) {
-	_, ts, _ := newTestServer(t, Config{Workers: 2})
-	body := fmt.Sprintf(`{"source": %q, "points": [
-		{"policy": "steering"},
-		{"policy": "steering", "params": {"FaultTransientRate": 0.002, "FaultSeed": 11, "FaultScrubInterval": 64}},
-		{"policy": "steering", "params": {"FaultTransientRate": 0.01, "FaultSeed": 11, "FaultScrubInterval": 64}}
-	]}`, faultySource)
-	status, doc := postJSON(t, ts, "/v1/sweep", body)
-	if status != http.StatusOK {
-		t.Fatalf("status = %d, want 200 (%v)", status, doc)
-	}
-	points := doc["points"].([]any)
-	if len(points) != 3 {
-		t.Fatalf("got %d points, want 3", len(points))
-	}
-	for i, raw := range points {
-		p := raw.(map[string]any)
-		if p["error"] != nil {
-			t.Fatalf("point %d: unexpected error %v", i, p["error"])
-		}
-		rep := p["report"].(map[string]any)
-		_, hasFaults := rep["faults"]
-		if wantFaults := i > 0; hasFaults != wantFaults {
-			t.Errorf("point %d: faults block present = %v, want %v", i, hasFaults, wantFaults)
-		}
-	}
-}
-
 func TestRunBadRequests(t *testing.T) {
 	// Raw bodies on purpose: these pin the wire format (malformed JSON,
 	// unknown fields) the typed client cannot produce.
@@ -327,11 +299,12 @@ func TestRunBadRequests(t *testing.T) {
 
 // TestRunHugeMemBytes pins the geometry bounds: a MemBytes beyond the
 // ISA's 32-bit address space, a window past the wake-up array's bitboard
-// width, and predictor or trace-cache sizes that are not powers of two
-// are a structured 400 on every endpoint that builds machines, and the
-// server keeps serving afterwards. Before the bounds, the huge memory
-// exhausted host memory and the other specs panicked in the machine
-// constructor — as a job point, taking rssd down.
+// width, predictor or trace-cache sizes that are not powers of two, and
+// a latency table with an entry below one cycle are a structured 400 on
+// every endpoint that builds machines, and the server keeps serving
+// afterwards. Before the bounds, the huge memory exhausted host memory
+// and the other specs panicked building or running the machine — as a
+// job point, taking rssd down.
 func TestRunHugeMemBytes(t *testing.T) {
 	_, ts, _ := newTestServer(t, Config{})
 	for _, spec := range []string{
@@ -339,6 +312,8 @@ func TestRunHugeMemBytes(t *testing.T) {
 		`{"WindowSize": 65}`,
 		`{"PredictorEntries": 1000}`,
 		`{"TraceCacheLines": 1000}`,
+		`{"Latencies": {"IntMul": 3}}`,
+		`{"Latencies": {"IntALU": -1, "IntMul": 4, "IntDiv": 12, "Load": 2, "Store": 1, "FPALU": 3, "FPMul": 5, "FPDiv": 16, "FPSqrt": 20}}`,
 	} {
 		cases := []struct {
 			path, body, wantCode string
@@ -548,126 +523,6 @@ func TestRunDeadline(t *testing.T) {
 	}
 }
 
-func TestSweep(t *testing.T) {
-	_, _, c := newTestServer(t, Config{Workers: 4})
-	policies := []string{"steering", "static-integer", "static-memory", "static-floating", "ffu-only", "full-reconfig", "oracle", "random", "demand"}
-	req := api.SweepRequest{Source: haltingSource}
-	for _, p := range policies {
-		req.Points = append(req.Points, api.RunSpec{Policy: policy(t, p)})
-	}
-	resp, err := c.Sweep(context.Background(), req)
-	if err != nil {
-		t.Fatalf("sweep: %v", err)
-	}
-	if len(resp.Points) != len(policies) {
-		t.Fatalf("got %d points, want %d", len(resp.Points), len(policies))
-	}
-	for i, p := range resp.Points {
-		if p.Index != i {
-			t.Errorf("point %d: index = %d", i, p.Index)
-		}
-		if p.Policy != policies[i] {
-			t.Errorf("point %d: policy = %v, want %s", i, p.Policy, policies[i])
-		}
-		if p.Error != nil {
-			t.Errorf("point %d: unexpected error %v", i, p.Error)
-		}
-		if len(p.Report) == 0 {
-			t.Errorf("point %d: missing report", i)
-		}
-	}
-}
-
-func TestSweepConcurrent(t *testing.T) {
-	// Several sweeps in flight at once over a 2-worker pool: results must
-	// stay complete and ordered while jobs from different requests
-	// interleave on the shared slots (the -race run is the real check).
-	_, _, c := newTestServer(t, Config{Workers: 2, Backlog: 16})
-	req := api.SweepRequest{
-		Source: haltingSource,
-		Points: []api.RunSpec{
-			{Policy: policy(t, "steering")},
-			{Policy: policy(t, "ffu-only")},
-			{Policy: policy(t, "demand")},
-		},
-	}
-	var wg sync.WaitGroup
-	for i := 0; i < 4; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			resp, err := c.Sweep(context.Background(), req)
-			if err != nil {
-				t.Errorf("sweep: %v", err)
-				return
-			}
-			if n := len(resp.Points); n != 3 {
-				t.Errorf("got %d points, want 3", n)
-			}
-		}()
-	}
-	wg.Wait()
-}
-
-func TestSweepPointErrorIsData(t *testing.T) {
-	_, _, c := newTestServer(t, Config{})
-	// One good point, one that exhausts its cycle budget: the sweep
-	// succeeds and the failure rides in the point's error field.
-	resp, err := c.Sweep(context.Background(), api.SweepRequest{
-		Source: haltingSource,
-		Points: []api.RunSpec{{}, {MaxCycles: 2}},
-	})
-	if err != nil {
-		t.Fatalf("sweep: %v", err)
-	}
-	if e := resp.Points[0].Error; e != nil {
-		t.Errorf("point 0: unexpected error %v", e)
-	}
-	if e := resp.Points[1].Error; e == nil || e.Code != api.CodeCycleLimit {
-		t.Errorf("point 1: error = %v, want code %s", resp.Points[1].Error, api.CodeCycleLimit)
-	}
-}
-
-func TestSweepBadRequests(t *testing.T) {
-	_, ts, _ := newTestServer(t, Config{MaxSweepPoints: 2})
-	cases := []struct {
-		name     string
-		body     string
-		wantCode string
-	}{
-		{"no points", fmt.Sprintf(`{"source": %q, "points": []}`, haltingSource), api.CodeInvalidRequest},
-		{"too many points", fmt.Sprintf(`{"source": %q, "points": [{}, {}, {}]}`, haltingSource), api.CodeInvalidRequest},
-		{"bad point params", fmt.Sprintf(`{"source": %q, "points": [{"maxCycles": -1}]}`, haltingSource), api.CodeInvalidParams},
-	}
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			status, doc := postJSON(t, ts, "/v1/sweep", tc.body)
-			if status != http.StatusBadRequest {
-				t.Fatalf("status = %d, want 400 (%v)", status, doc)
-			}
-			if code := errCode(t, doc); code != tc.wantCode {
-				t.Errorf("code = %s, want %s", code, tc.wantCode)
-			}
-		})
-	}
-}
-
-func TestSweepDeadline(t *testing.T) {
-	_, _, c := newTestServer(t, Config{Workers: 2})
-	_, err := c.Sweep(context.Background(), api.SweepRequest{
-		Source:    spinSource,
-		TimeoutMs: 100,
-		Points:    []api.RunSpec{{MaxCycles: 500_000_000}, {MaxCycles: 500_000_000}},
-	})
-	apiErr := apiError(t, err)
-	if apiErr.Status != http.StatusGatewayTimeout {
-		t.Fatalf("status = %d, want 504 (%v)", apiErr.Status, apiErr)
-	}
-	if apiErr.Code != api.CodeDeadlineExceeded {
-		t.Errorf("code = %s, want %s", apiErr.Code, api.CodeDeadlineExceeded)
-	}
-}
-
 func TestHealthz(t *testing.T) {
 	s, _, c := newTestServer(t, Config{Workers: 3})
 	h, err := c.Health(context.Background())
@@ -698,13 +553,9 @@ func TestDrainRejectsNewJobs(t *testing.T) {
 	if apiErr.Code != api.CodeDraining {
 		t.Errorf("code = %s, want %s", apiErr.Code, api.CodeDraining)
 	}
-	_, err = c.Sweep(ctx, api.SweepRequest{Source: haltingSource, Points: []api.RunSpec{{}}})
-	if apiErr := apiError(t, err); apiErr.Status != http.StatusServiceUnavailable {
-		t.Errorf("sweep while draining: status = %d, want 503 (%v)", apiErr.Status, apiErr)
-	}
 	_, err = c.SubmitJob(ctx, api.JobRequest{Source: haltingSource, Points: []api.RunSpec{{}}})
-	if apiErr := apiError(t, err); apiErr.Code != api.CodeDraining {
-		t.Errorf("job submit while draining: code = %s, want %s", apiErr.Code, api.CodeDraining)
+	if apiErr := apiError(t, err); apiErr.Status != http.StatusServiceUnavailable || apiErr.Code != api.CodeDraining {
+		t.Errorf("job submit while draining: %d/%s, want 503/%s", apiErr.Status, apiErr.Code, api.CodeDraining)
 	}
 }
 
@@ -834,6 +685,48 @@ func TestProgramCacheDisabled(t *testing.T) {
 	c.put("halt\n", nil)
 	if _, ok := c.get("halt\n"); ok || c.len() != 0 {
 		t.Errorf("disabled cache stored an entry (len %d)", c.len())
+	}
+}
+
+// TestSweepBadRequests posts malformed sweep grids as raw JSON to
+// POST /v1/jobs, the route sweeps now go through. The job route reports
+// a bad point as invalid_request, naming the point index.
+func TestSweepBadRequests(t *testing.T) {
+	_, ts, _ := newTestServer(t, Config{MaxJobPoints: 2})
+	cases := []struct {
+		name     string
+		body     string
+		wantCode string
+	}{
+		{"no points", fmt.Sprintf(`{"source": %q, "points": []}`, haltingSource), api.CodeInvalidRequest},
+		{"too many points", fmt.Sprintf(`{"source": %q, "points": [{}, {}, {}]}`, haltingSource), api.CodeInvalidRequest},
+		{"bad point params", fmt.Sprintf(`{"source": %q, "points": [{"maxCycles": -1}]}`, haltingSource), api.CodeInvalidRequest},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			status, doc := postJSON(t, ts, "/v1/jobs", tc.body)
+			if status != http.StatusBadRequest {
+				t.Fatalf("status = %d, want 400 (%v)", status, doc)
+			}
+			if code := errCode(t, doc); code != tc.wantCode {
+				t.Errorf("code = %s, want %s", code, tc.wantCode)
+			}
+		})
+	}
+}
+
+// TestSweepRouteGone pins the retirement of the synchronous sweep:
+// POST /v1/sweep is an unknown route, and sweeps go through /v1/jobs.
+func TestSweepRouteGone(t *testing.T) {
+	_, ts, _ := newTestServer(t, Config{})
+	body := fmt.Sprintf(`{"source": %q, "points": [{}]}`, haltingSource)
+	resp, err := http.Post(ts.URL+"/v1/sweep", "application/json", strings.NewReader(body))
+	if err != nil {
+		t.Fatalf("POST /v1/sweep: %v", err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusNotFound {
+		t.Errorf("POST /v1/sweep status = %d, want 404", resp.StatusCode)
 	}
 }
 

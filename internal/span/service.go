@@ -9,14 +9,14 @@ import (
 )
 
 // ServiceSpan is one completed stage of an rssd request: admission-queue
-// wait, worker execution, response encode, or one sweep point.
+// wait, worker execution, response encode, or one job point.
 // Timestamps are microseconds since the recorder was created, so a
 // dump loads into Perfetto alongside simulator traces.
 type ServiceSpan struct {
 	Req     uint64 `json:"req"`              // request ordinal
-	Name    string `json:"name"`             // queue-wait | execute | encode | sweep | point
-	Kind    string `json:"kind"`             // handler kind: run | sweep | sweep_point
-	Point   int    `json:"point"`            // sweep point index; -1 otherwise
+	Name    string `json:"name"`             // queue-wait | execute | encode | point | job
+	Kind    string `json:"kind"`             // run | job_point | job
+	Point   int    `json:"point"`            // job point index; -1 otherwise
 	StartUs int64  `json:"startUs"`          // µs since recorder start
 	DurUs   int64  `json:"durUs"`            // stage duration in µs
 	Detail  string `json:"detail,omitempty"` // e.g. "deadline" on a trigger
@@ -137,7 +137,7 @@ func (r *ServiceRecorder) WriteJSON(w io.Writer) error {
 
 // WriteChromeTrace renders the ring as Chrome Trace Format JSON under
 // pid 2 ("rssd"). Stages of one request share a lane; concurrent
-// sweep points get their own lanes so overlapping points don't nest
+// job points get their own lanes so overlapping points don't nest
 // incorrectly.
 func (r *ServiceRecorder) WriteChromeTrace(w io.Writer) error {
 	spans, _, _ := r.Snapshot()

@@ -364,7 +364,7 @@ func TestServiceRecorder(t *testing.T) {
 			base.Add(time.Duration(i)*time.Millisecond),
 			base.Add(time.Duration(i+1)*time.Millisecond))
 	}
-	r.TriggerDeadline(6, "sweep_point", 2, base, base.Add(time.Second))
+	r.TriggerDeadline(6, "job_point", 2, base, base.Add(time.Second))
 
 	spans, recorded, deadlines := r.Snapshot()
 	if recorded != 6 || deadlines != 1 {

@@ -25,6 +25,7 @@ package wakeup
 
 import (
 	"fmt"
+	"math"
 	"math/bits"
 	"strings"
 
@@ -40,6 +41,15 @@ const MaxSize = 64
 func ValidSize(size int) error {
 	if size <= 0 || size > MaxSize {
 		return fmt.Errorf("wakeup: array size %d outside [1, %d] rows", size, MaxSize)
+	}
+	return nil
+}
+
+// ValidLatency reports whether latency is a usable execution latency:
+// at least one cycle, and small enough for the int32 countdown timers.
+func ValidLatency(latency int) error {
+	if latency < 1 || latency > math.MaxInt32 {
+		return fmt.Errorf("wakeup: latency %d outside [1, %d] cycles", latency, math.MaxInt32)
 	}
 	return nil
 }
@@ -93,8 +103,8 @@ func (a *Array) Free() int { return a.size - bits.OnesCount64(a.used) }
 // rows other than the allocated one; violations panic, as they indicate a
 // dispatcher bug.
 func (a *Array) Allocate(unit arch.UnitType, deps []int, latency int, tag uint64) (int, bool) {
-	if latency < 1 {
-		panic("wakeup: latency must be at least 1")
+	if err := ValidLatency(latency); err != nil {
+		panic(err.Error())
 	}
 	free := ^a.used & a.full
 	if free == 0 {
