@@ -58,12 +58,13 @@ func TestZeroAllocManagerSelect(t *testing.T) {
 	m := core.NewManager(rfu.New(8), config.DefaultBasis())
 	demands := fig2Demands()
 	// Warm the steering cache and any lazily sized scratch.
+	var sel core.Selection
 	for _, d := range demands {
-		_ = m.Select(d)
+		m.Select(d, &sel)
 	}
 	i := 0
 	requireZeroAllocs(t, "core.Manager.Select (cached)", func() {
-		_ = m.Select(demands[i%len(demands)])
+		m.Select(demands[i%len(demands)], &sel)
 		i++
 	})
 
@@ -71,7 +72,7 @@ func TestZeroAllocManagerSelect(t *testing.T) {
 	// allocation-free too: disabling the cache forces it every call.
 	m.DisableCache = true
 	requireZeroAllocs(t, "core.Manager.Select (uncached)", func() {
-		_ = m.Select(demands[i%len(demands)])
+		m.Select(demands[i%len(demands)], &sel)
 		i++
 	})
 }

@@ -245,8 +245,9 @@ func TestFaultSelectionStreamEquivalence(t *testing.T) {
 			d[t] = v
 			left -= v
 		}
-		a := cached.Select(d)
-		b := plain.Select(d)
+		var a, b core.Selection
+		cached.Select(d, &a)
+		plain.Select(d, &b)
 		if a != b {
 			t.Fatalf("step %d: selections diverge for demand %v (masks %v vs %v):\n  cached:   %+v\n  uncached: %+v",
 				i, d, maskPair(cachedFabric), maskPair(plainFabric), a, b)

@@ -59,7 +59,7 @@ type Selection struct {
 }
 
 // Current reports whether the selection kept the current configuration.
-func (s Selection) Current() bool { return s.Choice == 0 }
+func (s *Selection) Current() bool { return s.Choice == 0 }
 
 // key builds the lexicographic comparison key the minimal-error selector
 // orders candidates by: error first, then reconfiguration distance (the
@@ -273,6 +273,17 @@ type Manager struct {
 	// basisUnits holds each basis configuration's placement list,
 	// computed once at NewManager so Load never rebuilds it.
 	basisUnits [3][]config.PlacedUnit
+	// sel is the selection Step returns. memo records the inputs the
+	// steering cache keyed it on; while they repeat, the cache entry
+	// Select stored or hit for them is still in place, so Step reuses
+	// sel as that cache hit without repacking the key (see Step).
+	sel  Selection
+	memo struct {
+		ok            bool
+		required      arch.Counts
+		version       uint64
+		unavail, dead uint8
+	}
 	// classifyName memoizes Classify against the fabric's
 	// allocation version: the name is recomputed only when the
 	// allocation vector actually changed, not every cycle. The empty
@@ -323,14 +334,23 @@ func (m *Manager) errorOf(required, available arch.Counts) int {
 }
 
 // Select runs the selection unit over the requirement counts of the
-// unscheduled queue instructions and returns the chosen configuration.
-// Availability counts include the FFUs for every candidate ("…relative
-// to each of the four configurations including the FFUs", §3.1).
-func (m *Manager) Select(required arch.Counts) Selection {
+// unscheduled queue instructions and writes the chosen configuration to
+// sel. Availability counts include the FFUs for every candidate
+// ("…relative to each of the four configurations including the FFUs",
+// §3.1).
+func (m *Manager) Select(required arch.Counts, sel *Selection) {
+	// A lookup outside Step may evict the entry Step's memo relies on.
+	m.memo.ok = false
+	m.lookup(required, sel)
+}
+
+// lookup is Select through the steering cache.
+func (m *Manager) lookup(required arch.Counts, sel *Selection) {
 	alloc := m.fabric.Allocation()
 	unavail, dead := m.fabric.HealthMasks()
 	if m.DisableCache {
-		return m.selectUncached(required, alloc, dead)
+		m.selectUncached(required, alloc, dead, sel)
+		return
 	}
 	if m.cacheExact != m.ExactCEM {
 		// The error metric changed out from under the cached entries;
@@ -348,27 +368,25 @@ func (m *Manager) Select(required arch.Counts) Selection {
 		if s := m.fabric.Sink(); s != nil {
 			s.SteerCacheLookup(true)
 		}
-		var sel Selection
 		sel.Required = required
 		sel.Choice = int(e.choice)
 		for i := range sel.Errors {
 			sel.Errors[i] = int(e.errs[i])
 			sel.Distances[i] = int(e.dists[i])
 		}
-		return sel
+		return
 	}
 	m.stats.CacheMisses++
 	if s := m.fabric.Sink(); s != nil {
 		s.SteerCacheLookup(false)
 	}
-	sel := m.selectUncached(required, alloc, dead)
+	m.selectUncached(required, alloc, dead, sel)
 	e.key = key + 1
 	e.choice = uint8(sel.Choice)
 	for i := range sel.Errors {
 		e.errs[i] = uint8(sel.Errors[i])
 		e.dists[i] = uint8(sel.Distances[i])
 	}
-	return sel
 }
 
 // selectUncached runs the four CEM generators and the minimal-error
@@ -379,8 +397,7 @@ func (m *Manager) Select(required arch.Counts) Selection {
 // because their spans cross permanently dead slots. Transiently faulty
 // slots do not discount the basis candidates: loading a configuration
 // rewrites their frames, restoring them.
-func (m *Manager) selectUncached(required arch.Counts, alloc config.AllocationVector, dead uint8) Selection {
-	var sel Selection
+func (m *Manager) selectUncached(required arch.Counts, alloc config.AllocationVector, dead uint8, sel *Selection) {
 	sel.Required = required
 	sel.Errors[0] = m.errorOf(required, m.fabric.EffectiveTotalCounts())
 	sel.Distances[0] = 0
@@ -393,7 +410,6 @@ func (m *Manager) selectUncached(required arch.Counts, alloc config.AllocationVe
 		sel.Distances[i+1] = alloc.Distance(m.basis[i])
 	}
 	sel.Choice = MinimalErrorSelect(sel.Errors, sel.Distances)
-	return sel
 }
 
 // degradedBasisAvail recomputes basis configuration i's availability
@@ -422,7 +438,7 @@ func (m *Manager) degradedBasisAvail(i int, dead uint8) arch.Counts {
 // differs from the live allocation is rewritten if its slots are idle,
 // and deferred otherwise. Keeping the current configuration loads
 // nothing. It returns the number of span rewrites started.
-func (m *Manager) Load(sel Selection) int {
+func (m *Manager) Load(sel *Selection) int {
 	if sel.Current() {
 		return 0
 	}
@@ -502,9 +518,33 @@ func (m *Manager) classifyAllocationSlow() string {
 
 // Step performs one cycle of configuration management: encode the queue's
 // requirements, select, and load (subject to the residency timer). It
-// returns the selection for tracing.
-func (m *Manager) Step(required arch.Counts) Selection {
-	sel := m.Select(required)
+// returns the selection for tracing; the manager owns it, and the next
+// Step overwrites it.
+//
+// When the demand vector, the allocation version and the health masks
+// all equal the previous Step's, with the cache on and the metric
+// unchanged, the previous selection stands: the steering cache keys on
+// the clamped demand, the slot encodings and the same masks, so equal
+// inputs give an equal key, and the entry stored or hit for that key
+// is still in place (only lookups write the cache, and Select outside
+// Step clears the memo). Step counts the reuse as the cache hit the
+// lookup would have been.
+func (m *Manager) Step(required arch.Counts) *Selection {
+	sel := &m.sel
+	version := m.fabric.AllocVersion()
+	unavail, dead := m.fabric.HealthMasks()
+	if m.memo.ok && !m.DisableCache && m.cacheExact == m.ExactCEM && m.memo.required == required &&
+		m.memo.version == version && m.memo.unavail == unavail && m.memo.dead == dead {
+		m.stats.CacheHits++
+		if s := m.fabric.Sink(); s != nil {
+			s.SteerCacheLookup(true)
+		}
+	} else {
+		m.lookup(required, sel)
+		m.memo.ok = !m.DisableCache
+		m.memo.required, m.memo.version = required, version
+		m.memo.unavail, m.memo.dead = unavail, dead
+	}
 	m.stats.Selections[sel.Choice]++
 	if s := m.fabric.Sink(); s != nil {
 		s.Selection(sel.Errors, sel.Choice)

@@ -141,7 +141,7 @@ func TestStableConfigurationIsKept(t *testing.T) {
 	req := EncodeRequirements([]arch.UnitType{
 		arch.IntALU, arch.IntALU, arch.IntALU, arch.LSU,
 	})
-	first := m.Step(req)
+	first := *m.Step(req)
 	if first.Current() {
 		t.Fatal("setup: fresh fabric should not already match")
 	}
@@ -242,7 +242,7 @@ func TestHybridConfigurationArises(t *testing.T) {
 func TestLoadReturnsZeroForCurrent(t *testing.T) {
 	m, f := newManager(0)
 	sel := Selection{Choice: 0}
-	if n := m.Load(sel); n != 0 {
+	if n := m.Load(&sel); n != 0 {
 		t.Errorf("Load(current) = %d", n)
 	}
 	if f.Reconfigurations() != 0 {
@@ -267,8 +267,9 @@ func TestExactCEMAblation(t *testing.T) {
 		mApprox, _ := newManager(0)
 		mExact, _ := newManager(0)
 		mExact.ExactCEM = true
-		a := mApprox.Select(req)
-		x := mExact.Select(req)
+		var a, x Selection
+		mApprox.Select(req, &a)
+		mExact.Select(req, &x)
 		if a.Choice != x.Choice {
 			disagreements++
 		}
@@ -304,8 +305,9 @@ func TestInvalidBasisPanics(t *testing.T) {
 func TestSelectionDeterministic(t *testing.T) {
 	m, _ := newManager(4)
 	req := EncodeRequirements([]arch.UnitType{arch.LSU, arch.LSU, arch.LSU, arch.IntALU})
-	a := m.Select(req)
-	b := m.Select(req)
+	var a, b Selection
+	m.Select(req, &a)
+	m.Select(req, &b)
 	if a != b {
 		t.Errorf("Select not deterministic: %+v vs %+v", a, b)
 	}
@@ -375,5 +377,42 @@ func TestConvergenceUnderConstantDemand(t *testing.T) {
 		if f.Reconfiguring() {
 			t.Errorf("latency %d: fabric still reconfiguring at steady state", lat)
 		}
+	}
+}
+
+// TestStepMemoCountsCacheHit: a Step whose demand, allocation and
+// health masks repeat the previous Step's reuses its selection and
+// counts the steering-cache hit the lookup would have been; a Select
+// that evicts that cache entry in between makes the next Step miss,
+// exactly as the lookup would.
+func TestStepMemoCountsCacheHit(t *testing.T) {
+	m, f := newManager(8)
+	req := EncodeRequirements([]arch.UnitType{arch.LSU, arch.LSU, arch.LSU, arch.IntALU})
+	first := *m.Step(req)  // miss; starts the memory layout's spans
+	second := *m.Step(req) // new allocation version, same empty slots: cache hit
+	third := *m.Step(req)  // inputs repeat: memo hit
+	if second != third {
+		t.Errorf("memoised step differs: %+v vs %+v", third, second)
+	}
+	// A demand vector whose key lands in the same direct-mapped line.
+	slots := f.Allocation().Slots
+	line := steerCacheIndex(packSteerKey(req, slots, 0, 0))
+	var evict arch.Counts
+	for v := 0; v < 1<<15; v++ {
+		d := arch.Counts{v & 7, v >> 3 & 7, v >> 6 & 7, v >> 9 & 7, v >> 12 & 7}
+		if d != req && steerCacheIndex(packSteerKey(d, slots, 0, 0)) == line {
+			evict = d
+			break
+		}
+	}
+	var sel Selection
+	m.Select(evict, &sel)  // miss; evicts req's entry
+	fourth := *m.Step(req) // miss again
+	if fourth != third {
+		t.Errorf("step after the eviction differs: %+v vs %+v", fourth, third)
+	}
+	st := m.Stats()
+	if st.CacheHits != 2 || st.CacheMisses != 3 {
+		t.Errorf("cache hits/misses = %d/%d, want 2/3 (first %+v)", st.CacheHits, st.CacheMisses, first)
 	}
 }

@@ -3,6 +3,7 @@ package cpu
 import (
 	"strings"
 	"testing"
+	"unsafe"
 
 	"repro/internal/baseline"
 	"repro/internal/config"
@@ -615,5 +616,14 @@ func TestArchitecturalZeroRegister(t *testing.T) {
 	}
 	if p.Reg(0) != 0 || p.Reg(2) != 9 {
 		t.Errorf("r0=%d r2=%d", p.Reg(0), p.Reg(2))
+	}
+}
+
+// TestROBEntrySize pins the RUU entry's size: the operand slots and the
+// dispatch-time latency pack into space the field order would otherwise
+// pad (the entry was 88 bytes before they were added).
+func TestROBEntrySize(t *testing.T) {
+	if got := unsafe.Sizeof(robEntry{}); got > 72 {
+		t.Errorf("robEntry is %d bytes, want at most 72", got)
 	}
 }

@@ -30,6 +30,8 @@
 package predict
 
 import (
+	"math/bits"
+
 	"repro/internal/arch"
 	"repro/internal/config"
 	"repro/internal/core"
@@ -113,6 +115,10 @@ type Manager struct {
 
 	depth   int
 	confPct int // confidence threshold in percent
+	// depthShift is log2(depth) when depth is a power of two, else -1:
+	// once the ring is full, the short-horizon average divides by a
+	// shift instead.
+	depthShift int
 
 	// Demand-history ring of clamped 3-bit vectors with a running sum,
 	// so the short-horizon average is exact and O(1) to maintain.
@@ -207,10 +213,15 @@ func NewManager(fabric *rfu.Fabric, cfg Config) *Manager {
 // NewManagerBasis builds the prefetch policy with a custom basis.
 func NewManagerBasis(fabric *rfu.Fabric, basis [3]config.Configuration, cfg Config) *Manager {
 	cfg = cfg.withDefaults()
+	depthShift := -1
+	if d := cfg.HistoryDepth; d&(d-1) == 0 {
+		depthShift = bits.TrailingZeros(uint(d))
+	}
 	return &Manager{
 		m:            core.NewManager(fabric, basis),
 		fabric:       fabric,
 		depth:        cfg.HistoryDepth,
+		depthShift:   depthShift,
 		confPct:      int(cfg.Confidence * 100),
 		ring:         make([]arch.Counts, cfg.HistoryDepth),
 		phaseDom:     -1,
@@ -271,8 +282,18 @@ func (pm *Manager) observe(required arch.Counts) {
 	// (release at half the threshold) keeps one boundary from firing
 	// repeatedly while the EWMA catches up.
 	dist := 0
+	shift := -1
+	if pm.ringN == pm.depth {
+		shift = pm.depthShift
+	}
 	for t := range pm.ringSum {
-		short := (pm.ringSum[t] << fpShift) / pm.ringN
+		var short int
+		if shift >= 0 {
+			// ringSum is non-negative, so the shift equals the divide.
+			short = (pm.ringSum[t] << fpShift) >> shift
+		} else {
+			short = (pm.ringSum[t] << fpShift) / pm.ringN
+		}
 		dd := short - pm.ewma[t]
 		if dd < 0 {
 			dd = -dd
@@ -379,7 +400,7 @@ func (pm *Manager) boundary() {
 // the selector names, and once a new basis has been held settleCycles,
 // record the settled transition in the Markov table, resolve the active
 // speculation against it, and tick the boundary clock.
-func (pm *Manager) transition(sel core.Selection) {
+func (pm *Manager) transition(sel *core.Selection) {
 	if !sel.Current() && sel.Choice != pm.curBasis {
 		pm.curBasis = sel.Choice
 		pm.heldSince = pm.cycle
@@ -480,7 +501,7 @@ func (pm *Manager) specEvent(spans int) obs.Prefetch {
 // the timing is right, and pushes the active speculation's remaining
 // spans through whatever configuration-bus bandwidth demand steering
 // and fault repairs left unused this cycle.
-func (pm *Manager) speculate(sel core.Selection) {
+func (pm *Manager) speculate(sel *core.Selection) {
 	if !pm.specActive {
 		// Only speculate from a steady reactive state: while the
 		// reactive loader is mid-transition the bus belongs to demand.

@@ -33,6 +33,7 @@ import (
 	"net/http"
 	"net/http/pprof"
 	"runtime"
+	"runtime/debug"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -169,9 +170,14 @@ type Server struct {
 	estimateUs    *telemetry.Histogram          // model solve µs
 
 	// spans is the service flight recorder: request lifecycle spans
-	// (queue-wait → execute → encode, one child per job point)
-	// and deadline-exceeded triggers, served by GET /debug/flightrecorder.
+	// (queue-wait → execute → encode, one child per job point),
+	// deadline-exceeded and panic triggers, served by GET
+	// /debug/flightrecorder.
 	spans *span.ServiceRecorder
+
+	// beforeRun, when set, runs as each simulation starts — a test seam
+	// for the panic path.
+	beforeRun func()
 }
 
 // prefetchCounterNames are the label values of rssd_prefetch_total —
@@ -584,8 +590,20 @@ func (s *Server) resolveSpec(spec *api.RunSpec) error {
 // the worker-execution span of the service flight recorder (point is -1
 // outside jobs). A spec with Cores > 1 runs a multi-core cluster and
 // reports an api.ClusterReport; timing, spans, the deadline trigger and
-// metrics are the same for both machines.
-func (s *Server) simulate(ctx context.Context, lp loadedProgram, spec api.RunSpec, kind string, req uint64, point int) (json.RawMessage, float64, error) {
+// metrics are the same for both machines. A panic in the simulator is
+// recorded with its stack in the flight recorder and returned as an
+// error, which classifies as internal.
+func (s *Server) simulate(ctx context.Context, lp loadedProgram, spec api.RunSpec, kind string, req uint64, point int) (report json.RawMessage, elapsedMs float64, err error) {
+	start := time.Now()
+	defer func() {
+		if r := recover(); r != nil {
+			s.spans.TriggerPanic(req, kind, point, start, time.Now(), r, debug.Stack())
+			report, err = nil, fmt.Errorf("simulation panicked: %v", r)
+		}
+	}()
+	if s.beforeRun != nil {
+		s.beforeRun()
+	}
 	opt := repro.Options{
 		Params:       spec.Params,
 		Policy:       spec.Policy,
@@ -610,8 +628,8 @@ func (s *Server) simulate(ctx context.Context, lp loadedProgram, spec api.RunSpe
 		run = func() error { _, err := m.RunContext(ctx, spec.MaxCycles); return err }
 		render = m.ReportJSON
 	}
-	start := time.Now()
-	err := run()
+	start = time.Now()
+	err = run()
 	elapsed := time.Since(start)
 	s.observeJob(kind, elapsed)
 	name := "execute"
@@ -626,11 +644,11 @@ func (s *Server) simulate(ctx context.Context, lp loadedProgram, spec api.RunSpe
 	for _, m := range machines {
 		s.accountMachine(m)
 	}
-	elapsedMs := float64(elapsed) / float64(time.Millisecond)
+	elapsedMs = float64(elapsed) / float64(time.Millisecond)
 	if err != nil {
 		return nil, elapsedMs, err
 	}
-	report, err := render()
+	report, err = render()
 	if err != nil {
 		return nil, elapsedMs, fmt.Errorf("rendering report: %w", err)
 	}

@@ -16,6 +16,7 @@ import (
 	"repro"
 	"repro/internal/api"
 	"repro/internal/client"
+	"repro/internal/span"
 )
 
 // haltingSource is a tiny program that retires a HALT quickly.
@@ -502,6 +503,41 @@ func TestRunCycleLimit(t *testing.T) {
 	}
 	if apiErr.Code != api.CodeCycleLimit {
 		t.Errorf("code = %s, want %s", apiErr.Code, api.CodeCycleLimit)
+	}
+}
+
+// TestRunPanic: a panic inside the simulator answers 500 internal with
+// an error envelope, records its stack in the flight recorder, and
+// leaves the server serving (the worker slot is released).
+func TestRunPanic(t *testing.T) {
+	s, ts, c := newTestServer(t, Config{Workers: 1})
+	s.beforeRun = func() { panic("injected simulator fault") }
+	_, err := c.Run(context.Background(), api.RunRequest{Source: haltingSource})
+	apiErr := apiError(t, err)
+	if apiErr.Status != http.StatusInternalServerError || apiErr.Code != api.CodeInternal {
+		t.Fatalf("status %d code %s, want 500 %s (%v)", apiErr.Status, apiErr.Code, api.CodeInternal, apiErr)
+	}
+	if !strings.Contains(apiErr.Message, "injected simulator fault") {
+		t.Errorf("message %q does not name the panic", apiErr.Message)
+	}
+	var trig *span.ServiceSpan
+	doc := flightDoc(t, ts.URL)
+	for i := range doc.Spans {
+		if doc.Spans[i].Detail == "panic" {
+			trig = &doc.Spans[i]
+		}
+	}
+	if trig == nil {
+		t.Fatalf("no panic trigger in the flight recorder: %+v", doc.Spans)
+	}
+	if trig.Kind != "run" || !strings.Contains(trig.Name, "injected simulator fault") ||
+		!strings.Contains(trig.Stack, "(*Server).simulate") {
+		t.Errorf("panic trigger = %+v", trig)
+	}
+
+	s.beforeRun = nil
+	if _, err := c.Run(context.Background(), api.RunRequest{Source: haltingSource}); err != nil {
+		t.Fatalf("run after the panic: %v", err)
 	}
 }
 

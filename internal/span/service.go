@@ -2,6 +2,7 @@ package span
 
 import (
 	"encoding/json"
+	"fmt"
 	"io"
 	"sync"
 	"sync/atomic"
@@ -19,7 +20,8 @@ type ServiceSpan struct {
 	Point   int    `json:"point"`            // job point index; -1 otherwise
 	StartUs int64  `json:"startUs"`          // µs since recorder start
 	DurUs   int64  `json:"durUs"`            // stage duration in µs
-	Detail  string `json:"detail,omitempty"` // e.g. "deadline" on a trigger
+	Detail  string `json:"detail,omitempty"` // "deadline" or "panic" on a trigger
+	Stack   string `json:"stack,omitempty"`  // the goroutine stack of a "panic" trigger
 }
 
 // ServiceRecorder keeps the last FlightSize service spans in a
@@ -81,6 +83,17 @@ func (r *ServiceRecorder) TriggerDeadline(req uint64, kind string, point int, st
 	r.push(ServiceSpan{Req: req, Name: "deadline-exceeded", Kind: kind,
 		Point: point, StartUs: r.us(start),
 		DurUs: end.Sub(start).Microseconds(), Detail: "deadline"})
+}
+
+// TriggerPanic records a simulation that panicked, with the panic value
+// and the goroutine stack at the panic.
+func (r *ServiceRecorder) TriggerPanic(req uint64, kind string, point int, start, end time.Time, value any, stack []byte) {
+	if r == nil {
+		return
+	}
+	r.push(ServiceSpan{Req: req, Name: fmt.Sprintf("panic: %v", value), Kind: kind,
+		Point: point, StartUs: r.us(start),
+		DurUs: end.Sub(start).Microseconds(), Detail: "panic", Stack: string(stack)})
 }
 
 func (r *ServiceRecorder) push(s ServiceSpan) {
@@ -152,7 +165,7 @@ func (r *ServiceRecorder) WriteChromeTrace(w io.Writer) error {
 		ev := chromeEvent{Name: s.Name, Cat: s.Kind, TS: s.StartUs,
 			PID: servicePID, TID: tid,
 			Args: map[string]any{"req": s.Req, "point": s.Point}}
-		if s.Detail == "deadline" {
+		if s.Detail != "" {
 			ev.Ph = "i"
 			ev.Scope = "t"
 		} else {

@@ -269,10 +269,11 @@ func (a *Array) ExtendTimer(i, extra int) {
 }
 
 // Tick advances every countdown timer one cycle, asserting
-// result-available lines that reach zero. Only the rows that are
-// granted and still counting — used & scheduled &^ resultOK — carry
-// live timers, so the pass walks exactly those board bits.
-func (a *Array) Tick() {
+// result-available lines that reach zero, and reports whether it
+// asserted any. Only the rows that are granted and still counting —
+// used & scheduled &^ resultOK — carry live timers, so the pass walks
+// exactly those board bits.
+func (a *Array) Tick() (asserted bool) {
 	for m := a.used & a.scheduled &^ a.resultOK; m != 0; m &= m - 1 {
 		i := bits.TrailingZeros64(m)
 		if a.timer[i] > 0 {
@@ -280,8 +281,10 @@ func (a *Array) Tick() {
 		}
 		if a.timer[i] == 0 {
 			a.resultOK |= 1 << uint(i)
+			asserted = true
 		}
 	}
+	return asserted
 }
 
 // Release retires row i: the entry is cleared and its column is cleared

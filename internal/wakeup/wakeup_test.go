@@ -442,3 +442,22 @@ func TestNoRequestEverViolatesDependencies(t *testing.T) {
 		}
 	}
 }
+
+// TestTickReportsAssertion: Tick reports exactly the cycles on which a
+// countdown reached zero and raised its result-available line.
+func TestTickReportsAssertion(t *testing.T) {
+	a := New(4)
+	row, _ := a.Allocate(arch.IntMDU, nil, 3, 0)
+	if a.Tick() {
+		t.Fatal("Tick on an ungranted row reported an assertion")
+	}
+	a.Grant(row) // timer 2
+	for cycle, want := range []bool{false, true, false} {
+		if got := a.Tick(); got != want {
+			t.Fatalf("tick %d after grant: asserted = %v, want %v", cycle+1, got, want)
+		}
+	}
+	if !a.ResultAvailable(row) {
+		t.Fatal("result line not raised")
+	}
+}
