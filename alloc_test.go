@@ -172,6 +172,35 @@ func TestZeroAllocMachineCycleWithFaults(t *testing.T) {
 	}
 }
 
+// TestZeroAllocMachineCycleWithDemand pins the demand-driven policy:
+// target-cache lookups, synthesis on a miss and the load walk all reuse
+// the manager's fixed arrays and scratch slice.
+func TestZeroAllocMachineCycleWithDemand(t *testing.T) {
+	if raceEnabled {
+		t.Skip("alloc counts are inflated by the race detector")
+	}
+	prog, err := isa.Assemble(steadyLoop)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p := cpu.New(prog, cpu.DefaultParams(), nil)
+	mgr := core.NewDemandManager(p.Fabric())
+	p.SetManager(mgr)
+	for i := 0; i < 50_000 && !p.Halted(); i++ {
+		p.Cycle()
+	}
+	if p.Halted() {
+		t.Fatal("workload halted during warm-up; steady-state cycles unmeasurable")
+	}
+	syntheses := mgr.Syntheses
+	if allocs := testing.AllocsPerRun(2000, p.Cycle); allocs != 0 {
+		t.Errorf("steady-state cycle under the demand policy: %.2f allocs/op, want 0", allocs)
+	}
+	if mgr.Syntheses == syntheses {
+		t.Error("the demand manager synthesised nothing; its path was not exercised")
+	}
+}
+
 // TestZeroAllocMachineCycleWithSpans pins the instrumented cycle path:
 // with a span recorder attached (and faults injecting so the fault and
 // repair hooks actually fire), recording goes into preallocated storage

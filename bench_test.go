@@ -434,6 +434,51 @@ func BenchmarkSimLongPhases(b *testing.B) {
 	}
 }
 
+// JobKernels: the points of perfbench's jobs-grid workload, one
+// sub-benchmark per policy. Each iteration runs the 8 grid kernels,
+// assembled from source as a job point is, at reconfiguration latencies
+// 4 and 16 (seed 1). Machines are built outside the timer; ns/cycle is
+// host time per simulated cycle over all 16 runs.
+func BenchmarkJobKernels(b *testing.B) {
+	kernels := []string{"dot", "saxpy", "memcpy", "histogram", "transpose", "recfib", "sort", "newton"}
+	units := make([]*repro.Unit, len(kernels))
+	for i, name := range kernels {
+		u, err := repro.AssembleUnit(repro.KernelByName(name).Source)
+		if err != nil {
+			b.Fatal(err)
+		}
+		units[i] = u
+	}
+	latencies := []int{4, 16}
+	for _, policy := range []repro.Policy{repro.PolicySteering, repro.PolicyPrefetch, repro.PolicyDemand, repro.PolicyRandom} {
+		b.Run(policy.String(), func(b *testing.B) {
+			b.ReportAllocs()
+			machines := make([]*repro.Machine, 0, len(units)*len(latencies))
+			cycles := 0
+			for i := 0; i < b.N; i++ {
+				b.StopTimer()
+				machines = machines[:0]
+				for _, u := range units {
+					for _, lat := range latencies {
+						opt := repro.Options{Params: repro.Params{ReconfigLatency: lat}, Policy: policy, Seed: 1}
+						machines = append(machines, repro.NewMachineFromUnit(u, opt))
+					}
+				}
+				b.StartTimer()
+				for _, m := range machines {
+					st, err := m.Run(50_000_000)
+					if err != nil {
+						b.Fatal(err)
+					}
+					cycles += st.Cycles
+				}
+			}
+			b.StopTimer()
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(cycles), "ns/cycle")
+		})
+	}
+}
+
 // X9: select-free vs ideal select.
 func BenchmarkX9SelectFree(b *testing.B) {
 	prog := workload.Synthesize([]workload.Phase{

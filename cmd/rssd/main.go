@@ -118,11 +118,7 @@ func main() {
 	if n := len(workerURLs); n > 0 {
 		log.Printf("rssd: sharding jobs across %d worker(s)", n)
 	}
-	srv := &http.Server{
-		Addr:              *addr,
-		Handler:           api.Handler(),
-		ReadHeaderTimeout: 5 * time.Second,
-	}
+	srv := api.HTTPServer(*addr)
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()

@@ -16,6 +16,8 @@
 package main
 
 import (
+	"bytes"
+	"encoding/json"
 	"flag"
 	"fmt"
 	"io"
@@ -383,7 +385,11 @@ func main() {
 		if err != nil {
 			fail(err)
 		}
-		fmt.Println(string(data))
+		var indented bytes.Buffer
+		if err := json.Indent(&indented, data, "", "  "); err != nil {
+			fail(err)
+		}
+		fmt.Println(indented.String())
 		return
 	}
 	fmt.Print(m.Report())

@@ -109,18 +109,24 @@ func (e Encoding) String() string {
 	return fmt.Sprintf("Encoding(%d)", uint8(e))
 }
 
+// slotCosts holds SlotCost per unit type.
+var slotCosts = [NumUnitTypes]int8{IntALU: 1, IntMDU: 2, LSU: 1, FPALU: 3, FPMDU: 3}
+
 // SlotCost returns the number of reconfigurable slots a unit of type t
 // occupies: IntALUs and LSUs fit one slot, IntMDUs span two, FP units span
-// three (§4.2 of the paper).
+// three (§4.2 of the paper). It is a table lookup the compiler inlines;
+// an invalid type panics out of line.
 func SlotCost(t UnitType) int {
-	switch t {
-	case IntALU, LSU:
-		return 1
-	case IntMDU:
-		return 2
-	case FPALU, FPMDU:
-		return 3
+	if t >= NumUnitTypes {
+		invalidSlotCost(t)
 	}
+	return int(slotCosts[t])
+}
+
+// invalidSlotCost is kept out of line so SlotCost stays cheap to inline.
+//
+//go:noinline
+func invalidSlotCost(t UnitType) {
 	panic(fmt.Sprintf("arch: SlotCost of invalid unit type %d", uint8(t)))
 }
 

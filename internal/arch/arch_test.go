@@ -1,6 +1,7 @@
 package arch
 
 import (
+	"fmt"
 	"testing"
 	"testing/quick"
 )
@@ -114,13 +115,20 @@ func TestSlotCosts(t *testing.T) {
 	}
 }
 
+// TestSlotCostPanicsOnInvalid pins the out-of-line panic for every type
+// past the table, including the first one.
 func TestSlotCostPanicsOnInvalid(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Error("SlotCost(invalid) did not panic")
-		}
-	}()
-	SlotCost(UnitType(99))
+	for _, u := range []UnitType{NumUnitTypes, 99, 255} {
+		func() {
+			defer func() {
+				want := fmt.Sprintf("arch: SlotCost of invalid unit type %d", uint8(u))
+				if r := recover(); r != want {
+					t.Errorf("SlotCost(%d) panicked with %v, want %q", uint8(u), r, want)
+				}
+			}()
+			SlotCost(u)
+		}()
+	}
 }
 
 func TestCountsTotalAndAdd(t *testing.T) {

@@ -17,6 +17,10 @@ import (
 // To avoid thrashing on single-cycle demand noise, the manager only
 // replaces an existing unit when the incoming unit's demand benefit
 // exceeds the kept unit's by at least Hysteresis demand points.
+//
+// The synthesised target is a pure function of the demand counts, the
+// live slot encodings and Hysteresis, so Step looks it up in a small
+// direct-mapped cache keyed on exactly those inputs (see packDemandKey).
 type DemandManager struct {
 	fabric *rfu.Fabric
 	// Hysteresis is the minimum per-unit demand advantage a new unit
@@ -24,7 +28,8 @@ type DemandManager struct {
 	// (default 0: pure greedy).
 	Hysteresis int
 
-	// Syntheses counts cycles on which a non-trivial target was built.
+	// Syntheses counts cycles with nonzero demand: each yields a
+	// target, synthesised or found in the cache.
 	Syntheses int
 	// Reconfigurations counts span rewrites started.
 	Reconfigurations int
@@ -34,10 +39,58 @@ type DemandManager struct {
 
 	// Per-cycle scratch buffers, reused across Steps so the hot path
 	// does not allocate: kept marks slots claimed by the synthesis pass,
-	// unitsScratch holds placement decodes of the current and target
-	// layouts.
+	// unitsScratch holds the placement decode of the current layout.
 	kept         [arch.NumRFUSlots]bool
 	unitsScratch []config.PlacedUnit
+
+	// cache is the direct-mapped target cache; cacheHysteresis is the
+	// Hysteresis its entries were synthesised under.
+	cache           [demandCacheSize]demandEntry
+	cacheHysteresis int
+}
+
+// Target-cache geometry. 256 entries hold the distinct (demand, layout)
+// pairs a kernel cycles through when its demand keeps rewriting the
+// fabric; a single-entry memo misses on exactly those kernels.
+const (
+	demandCacheBits = 8
+	demandCacheSize = 1 << demandCacheBits
+	// demandCountBits is the width of one demand count in the packed
+	// key. A count outside [0, 127] takes the uncached path.
+	demandCountBits = 7
+	demandCountMax  = 1<<demandCountBits - 1
+)
+
+// demandEntry is one direct-mapped cache line: the packed key plus one
+// (so the zero value means "empty") and the synthesised layout.
+type demandEntry struct {
+	key    uint64
+	target [arch.NumRFUSlots]arch.Encoding
+}
+
+// packDemandKey packs the whole input of plan + synthesize bar
+// Hysteresis into one 59-bit key: the five demand counts at 7 bits each
+// (bits 0–34) and the live slot encodings at 3 bits each (bits 35–58).
+// Unlike the steering key the counts are not clamped: plan weighs their
+// exact values. ok is false when a count does not fit.
+func packDemandKey(required arch.Counts, slots [arch.NumRFUSlots]arch.Encoding) (key uint64, ok bool) {
+	for t, c := range required {
+		if c < 0 || c > demandCountMax {
+			return 0, false
+		}
+		key |= uint64(c) << (uint(t) * demandCountBits)
+	}
+	const countBits = uint(arch.NumUnitTypes * demandCountBits)
+	for i, e := range slots {
+		key |= uint64(e) << (countBits + uint(i)*arch.EncodingBits)
+	}
+	return key, true
+}
+
+// demandCacheIndex maps a packed key to a table slot by Fibonacci
+// hashing, as steerCacheIndex does.
+func demandCacheIndex(key uint64) int {
+	return int((key * 0x9E3779B97F4A7C15) >> (64 - demandCacheBits))
 }
 
 // placeOrder lists unit types largest-span first so multi-slot spans
@@ -85,11 +138,12 @@ func (m *DemandManager) plan(required arch.Counts) arch.Counts {
 	return planned
 }
 
-// synthesize converts the planned multiset into a concrete slot layout,
-// keeping existing units that are part of the plan in place so the
-// loader's diff — and therefore reconfiguration traffic — is minimal.
-func (m *DemandManager) synthesize(planned arch.Counts, required arch.Counts) config.Configuration {
-	cur := config.Configuration{Layout: m.fabric.Allocation().Slots}
+// synthesize converts the planned multiset into a concrete slot layout
+// against the live slots, keeping existing units that are part of the
+// plan in place so the loader's diff — and therefore reconfiguration
+// traffic — is minimal.
+func (m *DemandManager) synthesize(planned, required arch.Counts, slots [arch.NumRFUSlots]arch.Encoding) config.Configuration {
+	cur := config.Configuration{Layout: slots}
 	target := config.Configuration{Name: "demand"}
 
 	// Keep existing units the plan still wants, at their positions.
@@ -182,29 +236,56 @@ func occupantType(cur config.Configuration, k int) int {
 }
 
 // Target returns the layout the manager would synthesise for the given
-// demand — exposed for tests and analysis.
+// demand — exposed for tests and analysis. It bypasses the cache.
 func (m *DemandManager) Target(required arch.Counts) config.Configuration {
-	return m.synthesize(m.plan(required), required)
+	return m.synthesize(m.plan(required), required, m.fabric.Allocation().Slots)
+}
+
+// target is Target through the cache, for the live slots.
+func (m *DemandManager) target(required arch.Counts, slots [arch.NumRFUSlots]arch.Encoding) [arch.NumRFUSlots]arch.Encoding {
+	if m.cacheHysteresis != m.Hysteresis {
+		// Entries were synthesised under the old margin; flush in place.
+		m.cache = [demandCacheSize]demandEntry{}
+		m.cacheHysteresis = m.Hysteresis
+	}
+	key, ok := packDemandKey(required, slots)
+	if !ok {
+		return m.synthesize(m.plan(required), required, slots).Layout
+	}
+	e := &m.cache[demandCacheIndex(key)]
+	if e.key != key+1 {
+		e.key = key + 1
+		e.target = m.synthesize(m.plan(required), required, slots).Layout
+	}
+	return e.target
 }
 
 // Step performs one cycle of demand-driven management: synthesise a
-// target and partially load it (idle spans only).
+// target and partially load it (idle spans only). A target equal to
+// the live layout has nothing to load.
 func (m *DemandManager) Step(required arch.Counts) {
 	if required.Total() == 0 {
 		return
 	}
-	target := m.synthesize(m.plan(required), required)
 	m.Syntheses++
-	m.unitsScratch = target.AppendUnits(m.unitsScratch[:0])
-	for _, u := range m.unitsScratch {
-		if m.fabric.Allocation().Slots[u.Slot] == arch.Encode(u.Type) {
+	slots := m.fabric.Allocation().Slots
+	target := m.target(required, slots)
+	if target == slots {
+		return
+	}
+	// Visit the target's unit heads left to right; continuation slots
+	// do not decode. Each check reads the live layout, which the
+	// rewrites before it may have changed.
+	for slot, e := range target {
+		t, ok := arch.DecodeUnit(e)
+		if !ok || m.fabric.Allocation().Slots[slot] == e {
 			continue
 		}
-		if !m.fabric.CanReconfigure(u.Type, u.Slot) {
-			m.DeferredSlots += u.Span
+		if !m.fabric.CanReconfigure(t, slot) {
+			m.DeferredSlots += arch.SlotCost(t)
 			continue
 		}
-		if m.fabric.Reconfigure(u.Type, u.Slot) {
+		if m.fabric.Reconfigure(t, slot) {
 			m.Reconfigurations++
 		}
 	}

@@ -228,7 +228,8 @@ func (s *Server) handleJobCancel(w http.ResponseWriter, r *http.Request) {
 // (application/x-ndjson): first a replay of every already-completed
 // point, then live events as points land, ending with a terminal state
 // event. The stream also ends when the client disconnects or the
-// server starts draining, so it never blocks shutdown.
+// server starts draining, so it never blocks shutdown. It lives as long
+// as the job, so it lifts the listener's write deadline.
 func (s *Server) handleJobEvents(w http.ResponseWriter, r *http.Request) {
 	s.countRequest("job_events")
 	j, ok := s.coord.Store().Get(r.PathValue("id"))
@@ -236,6 +237,8 @@ func (s *Server) handleJobEvents(w http.ResponseWriter, r *http.Request) {
 		s.fail(w, "job_events", api.ErrNotFound)
 		return
 	}
+	// Fails only on a writer with no deadline to lift.
+	http.NewResponseController(w).SetWriteDeadline(time.Time{}) //nolint:errcheck
 	w.Header().Set("Content-Type", "application/x-ndjson")
 	w.Header().Set("Cache-Control", "no-store")
 	w.WriteHeader(http.StatusOK)

@@ -469,9 +469,10 @@ func (m *Machine) Report() string {
 // policies, direct fabric access).
 func (m *Machine) Processor() *cpu.Processor { return m.proc }
 
-// ReportJSON renders the run's statistics as JSON for downstream
-// tooling: the cpu.Stats fields plus derived rates and subsystem
-// counters.
+// ReportJSON renders the run's statistics as compact JSON for
+// downstream tooling: the cpu.Stats fields plus derived rates and
+// subsystem counters. Compact, because a service may hold many reports
+// at once; json.Indent renders one for reading.
 func (m *Machine) ReportJSON() ([]byte, error) {
 	s := m.proc.Stats()
 	acc, lookups := m.proc.Predictor().Accuracy()
@@ -523,7 +524,7 @@ func (m *Machine) ReportJSON() ([]byte, error) {
 	if fs, ok := m.FaultStats(); ok {
 		doc.Faults = &fs
 	}
-	return json.MarshalIndent(doc, "", "  ")
+	return json.Marshal(doc)
 }
 
 // DefaultMetricsInterval is the sampling interval EnableTelemetry uses
