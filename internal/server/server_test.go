@@ -49,6 +49,21 @@ func newTestServer(t *testing.T, cfg Config) (*Server, *httptest.Server, *client
 	return s, ts, client.New(ts.URL, client.WithRetry(0, -1))
 }
 
+// serveHTTPServer serves s through srv, a listener from s.HTTPServer
+// whose timeouts the caller may have shortened, and returns a client
+// for it.
+func serveHTTPServer(t *testing.T, s *Server, srv *http.Server) *client.Client {
+	t.Helper()
+	ts := httptest.NewUnstartedServer(nil)
+	ts.Config = srv
+	ts.Start()
+	t.Cleanup(func() {
+		ts.Close()
+		s.Close()
+	})
+	return client.New(ts.URL, client.WithRetry(0, -1))
+}
+
 // postJSON sends body to path and returns the status plus decoded body.
 func postJSON(t *testing.T, ts *httptest.Server, path, body string) (int, map[string]any) {
 	t.Helper()
@@ -538,6 +553,30 @@ func TestRunPanic(t *testing.T) {
 	s.beforeRun = nil
 	if _, err := c.Run(context.Background(), api.RunRequest{Source: haltingSource}); err != nil {
 		t.Fatalf("run after the panic: %v", err)
+	}
+}
+
+// TestRunOutlivesReadTimeout: a /v1/run whose simulation runs past the
+// listener's read timeout is still answered, and so is the next one on
+// the same kept-alive connection. The read timeout bounds only reading
+// the request, not the request's context.
+func TestRunOutlivesReadTimeout(t *testing.T) {
+	s, err := New(Config{Workers: 1})
+	if err != nil {
+		t.Fatalf("New: %v", err)
+	}
+	srv := s.HTTPServer("")
+	srv.ReadTimeout = 50 * time.Millisecond
+	s.beforeRun = func() { time.Sleep(4 * srv.ReadTimeout) }
+	c := serveHTTPServer(t, s, srv)
+	for i := 0; i < 2; i++ {
+		start := time.Now()
+		if _, err := c.Run(context.Background(), api.RunRequest{Source: haltingSource}); err != nil {
+			t.Fatalf("run %d cut after %v: %v", i, time.Since(start), err)
+		}
+		if elapsed := time.Since(start); elapsed <= srv.ReadTimeout {
+			t.Errorf("run %d took %v, not past the %v read timeout", i, elapsed, srv.ReadTimeout)
+		}
 	}
 }
 
