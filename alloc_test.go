@@ -127,7 +127,7 @@ func TestZeroAllocMachineCycle(t *testing.T) {
 		t.Fatal(err)
 	}
 	p := cpu.New(prog, cpu.DefaultParams(), nil)
-	p.SetManager(baseline.NewSteering(p.Fabric()))
+	p.SetManager(baseline.NewSteeringBasis(p.Fabric(), config.DefaultBasis()))
 	// Warm up: fill the trace cache, grow the fetch buffer and scratch
 	// slices to their steady-state capacities, and converge the steering
 	// cache. The loop body is far longer than the measured window, so
@@ -160,7 +160,7 @@ func TestZeroAllocMachineCycleWithFaults(t *testing.T) {
 	params.FaultTransientRate = 0.001
 	params.FaultSeed = 9
 	p := cpu.New(prog, params, nil)
-	p.SetManager(baseline.NewSteering(p.Fabric()))
+	p.SetManager(baseline.NewSteeringBasis(p.Fabric(), config.DefaultBasis()))
 	for i := 0; i < 50_000 && !p.Halted(); i++ {
 		p.Cycle()
 	}
@@ -219,7 +219,7 @@ func TestZeroAllocMachineCycleWithSpans(t *testing.T) {
 	params.FaultTransientRate = 0.001
 	params.FaultSeed = 9
 	p := cpu.New(prog, params, nil)
-	mgr := predict.NewManager(p.Fabric(), predict.Config{})
+	mgr := predict.NewManagerBasis(p.Fabric(), config.DefaultBasis(), predict.Config{})
 	p.SetManager(mgr)
 	rec := span.NewRecorder(span.Config{}, arch.NumRFUSlots)
 	p.SetSink(rec)
@@ -264,7 +264,7 @@ func TestZeroAllocMachineCycleWithTelemetry(t *testing.T) {
 	params.FaultTransientRate = 0.001
 	params.FaultSeed = 9
 	p := cpu.New(prog, params, nil)
-	p.SetManager(predict.NewManager(p.Fabric(), predict.Config{}))
+	p.SetManager(predict.NewManagerBasis(p.Fabric(), config.DefaultBasis(), predict.Config{}))
 	probe := telemetry.NewProbe(100)
 	probe.SetExporter(discardExporter{})
 	rec := span.NewRecorder(span.Config{}, arch.NumRFUSlots)
@@ -310,7 +310,7 @@ func TestZeroAllocMachineCycleWithPrefetch(t *testing.T) {
 		t.Fatal(err)
 	}
 	p := cpu.New(prog, cpu.DefaultParams(), nil)
-	p.SetManager(predict.NewManager(p.Fabric(), predict.Config{}))
+	p.SetManager(predict.NewManagerBasis(p.Fabric(), config.DefaultBasis(), predict.Config{}))
 	for i := 0; i < 50_000 && !p.Halted(); i++ {
 		p.Cycle()
 	}

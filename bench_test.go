@@ -170,32 +170,17 @@ func BenchmarkFig7AvailabilityGateLevel(b *testing.B) {
 // and simulated Mcycles/s.
 func benchRun(b *testing.B, prog isa.Program, params cpu.Params, policy cpu.Policy) {
 	b.Helper()
+	// The oracle runs as the studies run it: on an instant-
+	// reconfiguration fabric.
+	if policy == cpu.PolicyOracle {
+		params.ReconfigLatency = 1
+	}
 	var lastStats cpu.Stats
 	totalCycles := 0
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		var p *cpu.Processor
-		switch policy {
-		case cpu.PolicySteering:
-			p = cpu.New(prog, params, nil)
-			p.SetManager(baseline.NewSteering(p.Fabric()))
-		case cpu.PolicyStaticInteger:
-			p = cpu.New(prog, params, nil)
-			p.Fabric().Install(config.DefaultBasis()[0])
-		case cpu.PolicyNone:
-			p = cpu.New(prog, params, nil)
-		case cpu.PolicyFullReconfig:
-			p = cpu.New(prog, params, nil)
-			p.SetManager(baseline.NewFullReconfig(p.Fabric()))
-		case cpu.PolicyOracle:
-			op := params
-			op.ReconfigLatency = 1
-			p = cpu.New(prog, op, nil)
-			p.SetManager(baseline.NewOracle(p.Fabric()))
-		default:
-			b.Fatalf("unknown policy %s", policy)
-		}
-		st, err := p.Run(50_000_000)
+		m := repro.NewMachine(prog, repro.Options{Params: params, Policy: policy})
+		st, err := m.Run(50_000_000)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -269,7 +254,7 @@ func BenchmarkX1Kernels(b *testing.B) {
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				p := cpu.New(prog, cpu.DefaultParams(), nil)
-				p.SetManager(baseline.NewSteering(p.Fabric()))
+				p.SetManager(baseline.NewSteeringBasis(p.Fabric(), config.DefaultBasis()))
 				if k.Setup != nil {
 					k.Setup(p.Memory(), p.SetReg)
 				}
@@ -514,7 +499,7 @@ func BenchmarkTraceOverhead(b *testing.B) {
 		b.Run(name, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				p := cpu.New(prog, cpu.DefaultParams(), nil)
-				p.SetManager(baseline.NewSteering(p.Fabric()))
+				p.SetManager(baseline.NewSteeringBasis(p.Fabric(), config.DefaultBasis()))
 				if traced {
 					p.SetSink(trace.NewBuffer(1 << 16))
 				}
@@ -540,7 +525,7 @@ func BenchmarkTelemetryOverhead(b *testing.B) {
 		b.Run(mode, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				p := cpu.New(prog, cpu.DefaultParams(), nil)
-				steer := baseline.NewSteering(p.Fabric())
+				steer := baseline.NewSteeringBasis(p.Fabric(), config.DefaultBasis())
 				p.SetManager(steer)
 				if mode == "on" {
 					probe := telemetry.NewProbe(100)
@@ -570,7 +555,7 @@ func BenchmarkSpanOverhead(b *testing.B) {
 		b.Run(mode, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				p := cpu.New(prog, cpu.DefaultParams(), nil)
-				steer := baseline.NewSteering(p.Fabric())
+				steer := baseline.NewSteeringBasis(p.Fabric(), config.DefaultBasis())
 				p.SetManager(steer)
 				if mode == "on" {
 					rec := span.NewRecorder(span.Config{}, arch.NumRFUSlots)
@@ -603,7 +588,7 @@ func BenchmarkFaultPathOverhead(b *testing.B) {
 			}
 			for i := 0; i < b.N; i++ {
 				p := cpu.New(prog, params, nil)
-				p.SetManager(baseline.NewSteering(p.Fabric()))
+				p.SetManager(baseline.NewSteeringBasis(p.Fabric(), config.DefaultBasis()))
 				if _, err := p.Run(50_000_000); err != nil {
 					b.Fatal(err)
 				}

@@ -310,7 +310,7 @@ func pruneGrid(prog repro.Program, grid []gridPoint, specs []api.RunSpec, f floa
 	}
 	ranks := make([]ranked, len(specs))
 	for i, spec := range specs {
-		est, err := repro.EstimateIPC(prog, repro.Options{Params: spec.Params, Policy: spec.Policy})
+		est, err := repro.EstimateIPC(prog, spec.Options())
 		if err != nil {
 			return nil, nil, nil, fmt.Errorf("estimating point %d (%s lat=%d): %w",
 				i, grid[i].policy, grid[i].latency, err)

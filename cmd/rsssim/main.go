@@ -28,6 +28,7 @@ import (
 
 	"repro"
 	"repro/internal/cluster"
+	"repro/internal/fault"
 	"repro/internal/span"
 )
 
@@ -61,7 +62,7 @@ func main() {
 		faultRate     = flag.Float64("fault-rate", 0, "per-slot per-cycle probability of a transient configuration upset (0 disables fault injection)")
 		faultPermRate = flag.Float64("fault-permanent-rate", 0, "per-slot per-cycle probability of a permanent configuration fault")
 		faultSeed     = flag.Int64("fault-seed", 1, "seed for the fault injector's PRNG stream")
-		faultScrub    = flag.Int("fault-scrub-interval", 0, "cycles between readback scrub scans; 0 means the default (64)")
+		faultScrub    = flag.Int("fault-scrub-interval", fault.DefaultScrubInterval, "cycles between readback scrub scans (must be positive when a fault rate is set)")
 
 		prefetchOn   = flag.Bool("prefetch", false, "shorthand for -policy prefetch (phase-aware speculative reconfiguration)")
 		prefetchHist = flag.Int("prefetch-history", 0, "demand-history ring depth of the prefetch predictor; 0 means the default (32)")
@@ -78,44 +79,11 @@ func main() {
 	)
 	flag.Parse()
 
-	if *window < 0 {
-		fail(fmt.Errorf("-window must be non-negative (0 selects the default of 7), got %d", *window))
-	}
-	if *reconfig < 0 {
-		fail(fmt.Errorf("-reconfig-latency must be non-negative (0 selects the default of 8; use 1 for near-instant reconfiguration), got %d", *reconfig))
-	}
 	if *metricsInterval <= 0 {
 		fail(fmt.Errorf("-metrics-interval must be positive, got %d", *metricsInterval))
 	}
-	if *faultRate < 0 || *faultRate > 1 {
-		fail(fmt.Errorf("-fault-rate must be a probability in [0,1], got %g", *faultRate))
-	}
-	if *faultPermRate < 0 || *faultPermRate > 1 {
-		fail(fmt.Errorf("-fault-permanent-rate must be a probability in [0,1], got %g", *faultPermRate))
-	}
-	if *faultRate+*faultPermRate > 1 {
-		fail(fmt.Errorf("-fault-rate + -fault-permanent-rate must not exceed 1, got %g", *faultRate+*faultPermRate))
-	}
-	if *faultScrub < 0 {
-		fail(fmt.Errorf("-fault-scrub-interval must be non-negative (0 selects the default of 64), got %d", *faultScrub))
-	}
-	if *prefetchHist < 0 {
-		fail(fmt.Errorf("-prefetch-history must be non-negative (0 selects the default of 32), got %d", *prefetchHist))
-	}
-	if *prefetchConf < 0 || *prefetchConf > 1 {
-		fail(fmt.Errorf("-prefetch-confidence must be in [0,1] (0 selects the default of 0.55), got %g", *prefetchConf))
-	}
 	if *spansFormat != "chrome" && *spansFormat != "jsonl" {
 		fail(fmt.Errorf("-trace-spans-format must be chrome or jsonl, got %q", *spansFormat))
-	}
-	if *cores < 1 || *cores > cluster.MaxCores {
-		fail(fmt.Errorf("-cores must be in [1,%d], got %d", cluster.MaxCores, *cores))
-	}
-	if _, err := cluster.ParseMode(*clusterMode); err != nil {
-		fail(err)
-	}
-	if _, err := cluster.ParseArbiter(*clusterArb); err != nil {
-		fail(err)
 	}
 	if *clusterFlip < 0 {
 		fail(fmt.Errorf("-cluster-switch-every must be non-negative, got %d", *clusterFlip))
@@ -184,7 +152,13 @@ func main() {
 	params.FaultScrubInterval = *faultScrub
 	params.PrefetchHistoryDepth = *prefetchHist
 	params.PrefetchConfidence = *prefetchConf
+	params.Cores = *cores
+	params.ClusterMode = *clusterMode
+	params.ClusterArbiter = *clusterArb
 	opt := repro.Options{Params: params, Policy: policy, Seed: *seed, MinResidency: *residency}
+	if err := opt.Validate(); err != nil {
+		fail(err)
+	}
 	if *basisPath != "" {
 		data, err := os.ReadFile(*basisPath)
 		if err != nil {
@@ -270,12 +244,9 @@ func main() {
 	}
 
 	if *cores > 1 {
-		opt.Params.Cores = *cores
-		opt.Params.ClusterMode = *clusterMode
-		opt.Params.ClusterArbiter = *clusterArb
 		runCluster(clusterRunConfig{
 			opt: opt, program: program, setup: setup, validate: validate,
-			cores: *cores, seed: *seed, maxCycles: *maxCycles, switchEvery: *clusterFlip,
+			seed: *seed, maxCycles: *maxCycles, switchEvery: *clusterFlip,
 			metricsPath: *metricsPath, metricsFormat: *metricsFormat, metricsInterval: *metricsInterval,
 			spansPath: *spansPath, spansFormat: *spansFormat,
 		})
@@ -418,7 +389,6 @@ type clusterRunConfig struct {
 	program                    func(int64) repro.Program
 	setup                      func(*repro.Machine)
 	validate                   func(*repro.Machine) error
-	cores                      int
 	seed                       int64
 	maxCycles                  int
 	switchEvery                int
@@ -433,13 +403,13 @@ type clusterRunConfig struct {
 // draw per-core variants (seeds seed..seed+K-1); kernels and assembly
 // run the same program on every core.
 func runCluster(cfg clusterRunConfig) {
-	progs := make([]repro.Program, cfg.cores)
+	progs := make([]repro.Program, cfg.opt.Params.Cores)
 	for i := range progs {
 		progs[i] = cfg.program(cfg.seed + int64(i))
 	}
 	c := cluster.NewMulti(progs, cfg.opt)
 	if cfg.setup != nil {
-		for k := 0; k < cfg.cores; k++ {
+		for k := 0; k < c.Cores(); k++ {
 			cfg.setup(c.Core(k))
 		}
 	}
@@ -495,7 +465,7 @@ func runCluster(cfg clusterRunConfig) {
 		fmt.Printf("%-5d %12d %12d %8.3f  %s\n", k, cs.Cycles, cs.Retired, cs.IPC(), status)
 	}
 	fmt.Printf("\ncluster: %d cores, mode %s, arbiter %s, %d mode switches\n",
-		cfg.cores, stats.Mode, stats.Arbiter, stats.ModeSwitches)
+		c.Cores(), stats.Mode, stats.Arbiter, stats.ModeSwitches)
 	fmt.Printf("aggregate IPC: %.3f   fairness (Jain): %.3f\n", stats.AggregateIPC(), stats.Fairness())
 	totalCycles := 0
 	for _, cs := range stats.Cores {

@@ -56,9 +56,16 @@ type RunSpec struct {
 	MaxCycles int `json:"maxCycles,omitempty"`
 	// Seed feeds the random policy.
 	Seed int64 `json:"seed,omitempty"`
-	// MinResidency dampens configuration thrash for the steering and
-	// oracle policies (cycles to hold a loaded configuration).
+	// MinResidency dampens configuration thrash for the steering,
+	// prefetch and oracle policies (cycles to hold a loaded
+	// configuration).
 	MinResidency int `json:"minResidency,omitempty"`
+}
+
+// Options maps the spec onto the machine options it runs under;
+// MaxCycles is the run budget, not a machine option.
+func (s RunSpec) Options() repro.Options {
+	return repro.Options{Params: s.Params, Policy: s.Policy, Seed: s.Seed, MinResidency: s.MinResidency}
 }
 
 // EstimateRequest is the body of POST /v1/estimate: the same program

@@ -29,13 +29,8 @@ type Steering struct {
 	M *core.Manager
 }
 
-// NewSteering builds the paper's steering policy over a fabric with the
-// default basis.
-func NewSteering(fabric *rfu.Fabric) *Steering {
-	return NewSteeringBasis(fabric, config.DefaultBasis())
-}
-
-// NewSteeringBasis builds the steering policy with a custom basis.
+// NewSteeringBasis builds the paper's steering policy over a fabric
+// with the given basis (config.DefaultBasis for the paper's Table 1).
 func NewSteeringBasis(fabric *rfu.Fabric, basis [3]config.Configuration) *Steering {
 	return &Steering{M: core.NewManager(fabric, basis)}
 }
@@ -73,14 +68,8 @@ type FullReconfig struct {
 	unitsScratch []config.PlacedUnit
 }
 
-// NewFullReconfig builds the whole-configuration-swap policy with the
-// default basis.
-func NewFullReconfig(fabric *rfu.Fabric) *FullReconfig {
-	return NewFullReconfigBasis(fabric, config.DefaultBasis())
-}
-
-// NewFullReconfigBasis builds the whole-configuration-swap policy with a
-// custom basis.
+// NewFullReconfigBasis builds the whole-configuration-swap policy over
+// the given basis.
 func NewFullReconfigBasis(fabric *rfu.Fabric, basis [3]config.Configuration) *FullReconfig {
 	return &FullReconfig{fabric: fabric, m: core.NewManager(fabric, basis)}
 }
@@ -155,12 +144,7 @@ type Oracle struct {
 	m *core.Manager
 }
 
-// NewOracle builds the oracle policy.
-func NewOracle(fabric *rfu.Fabric) *Oracle {
-	return NewOracleBasis(fabric, config.DefaultBasis())
-}
-
-// NewOracleBasis builds the oracle policy with a custom basis.
+// NewOracleBasis builds the oracle policy over the given basis.
 func NewOracleBasis(fabric *rfu.Fabric, basis [3]config.Configuration) *Oracle {
 	m := core.NewManager(fabric, basis)
 	m.ExactCEM = true

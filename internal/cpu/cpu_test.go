@@ -159,11 +159,11 @@ func buildProcessor(prog isa.Program, params Params, policy string) *Processor {
 	switch policy {
 	case "none":
 	case "steering", "no-ffu-steering":
-		p.SetManager(baseline.NewSteering(p.Fabric()))
+		p.SetManager(baseline.NewSteeringBasis(p.Fabric(), config.DefaultBasis()))
 	case "full-reconfig":
-		p.SetManager(baseline.NewFullReconfig(p.Fabric()))
+		p.SetManager(baseline.NewFullReconfigBasis(p.Fabric(), config.DefaultBasis()))
 	case "oracle":
-		p.SetManager(baseline.NewOracle(p.Fabric()))
+		p.SetManager(baseline.NewOracleBasis(p.Fabric(), config.DefaultBasis()))
 	case "random":
 		p.SetManager(baseline.NewRandom(p.Fabric(), 1))
 	case "static-int":
@@ -334,7 +334,7 @@ func TestSteeringRescuesFFUlessMachine(t *testing.T) {
 	`)
 	params := Params{MemBytes: 1 << 12, DisableFFUs: true, ReconfigLatency: 2}
 	p := New(prog, params, nil)
-	p.SetManager(baseline.NewSteering(p.Fabric()))
+	p.SetManager(baseline.NewSteeringBasis(p.Fabric(), config.DefaultBasis()))
 	if _, err := p.Run(10000); err != nil {
 		t.Fatalf("steering did not rescue the FFU-less machine: %v", err)
 	}

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"repro/internal/baseline"
+	"repro/internal/config"
 	"repro/internal/isa"
 	"repro/internal/trace"
 )
@@ -75,7 +76,7 @@ func TestTraceRecordsFlushesAndReconfigs(t *testing.T) {
 		halt
 	`)
 	p := New(prog, Params{MemBytes: 1 << 12}, nil)
-	p.SetManager(baseline.NewSteering(p.Fabric()))
+	p.SetManager(baseline.NewSteeringBasis(p.Fabric(), config.DefaultBasis()))
 	buf := trace.NewBuffer(100000)
 	p.SetSink(buf)
 	if _, err := p.Run(100000); err != nil {
@@ -169,7 +170,7 @@ func TestTracingDoesNotChangeResults(t *testing.T) {
 	`)
 	run := func(traced bool) (uint32, int) {
 		p := New(prog, Params{MemBytes: 1 << 12}, nil)
-		p.SetManager(baseline.NewSteering(p.Fabric()))
+		p.SetManager(baseline.NewSteeringBasis(p.Fabric(), config.DefaultBasis()))
 		if traced {
 			p.SetSink(trace.NewBuffer(10))
 		}

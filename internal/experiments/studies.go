@@ -44,55 +44,26 @@ func policyColumns(ps []cpu.Policy) []string {
 	return out
 }
 
-// buildMachine constructs a processor with the given typed policy.
-func buildMachine(prog isa.Program, params cpu.Params, policy cpu.Policy) *cpu.Processor {
-	p, _ := buildMachinePolicy(prog, params, policy)
-	return p
-}
-
-// buildMachinePolicy is buildMachine exposing the installed manager
-// object (nil for the static policies), so studies can read its state.
-func buildMachinePolicy(prog isa.Program, params cpu.Params, policy cpu.Policy) (*cpu.Processor, cpu.Manager) {
+// studyOptions is the machine spec of a study's policy comparison. It
+// states the studies' two conventions, which hold in every table that
+// compares policies:
+//   - PolicyRandom is seeded with 1;
+//   - PolicyOracle is the instant-reconfiguration oracle: it runs at
+//     ReconfigLatency 1, the idealised upper bound on configuration
+//     matching, whatever latency the study sets for the others.
+//
+// A study that wants the exact-CEM selector at its own latency (X3,
+// X21) builds PolicyOracle without these conventions.
+func studyOptions(params cpu.Params, policy cpu.Policy) repro.Options {
 	if policy == cpu.PolicyOracle {
 		params.ReconfigLatency = 1
 	}
-	p := cpu.New(prog, params, nil)
-	basis := config.DefaultBasis()
-	var obj cpu.Manager
-	switch policy {
-	case cpu.PolicySteering:
-		obj = baseline.NewSteering(p.Fabric())
-	case cpu.PolicyStaticInteger:
-		p.Fabric().Install(basis[0])
-	case cpu.PolicyStaticMemory:
-		p.Fabric().Install(basis[1])
-	case cpu.PolicyStaticFloating:
-		p.Fabric().Install(basis[2])
-	case cpu.PolicyNone:
-		// empty fabric
-	case cpu.PolicyFullReconfig:
-		obj = baseline.NewFullReconfig(p.Fabric())
-	case cpu.PolicyOracle:
-		obj = baseline.NewOracle(p.Fabric())
-	case cpu.PolicyRandom:
-		obj = baseline.NewRandom(p.Fabric(), 1)
-	case cpu.PolicyDemand:
-		obj = core.NewDemandManager(p.Fabric())
-	case cpu.PolicyPrefetch:
-		obj = predict.NewManager(p.Fabric(), predict.Config{})
-	default:
-		panic("experiments: unknown policy " + policy.String())
-	}
-	if obj != nil {
-		p.SetManager(obj)
-	}
-	return p, obj
+	return repro.Options{Params: params, Policy: policy, Seed: 1}
 }
 
 // ipcOf runs prog under the policy and returns its IPC, or -1 on DNF.
 func ipcOf(prog isa.Program, params cpu.Params, policy cpu.Policy) float64 {
-	p := buildMachine(prog, params, policy)
-	st, err := p.Run(MaxCycles)
+	st, err := repro.NewMachine(prog, studyOptions(params, policy)).Run(MaxCycles)
 	if err != nil {
 		return -1
 	}
@@ -158,7 +129,7 @@ func X1() string {
 	kernels := workload.Kernels()
 	kernelGrid := sweep.Grid(len(kernels), len(studyPolicies), 0, func(row, col int) string {
 		k := kernels[row]
-		p := buildMachine(k.Program(), params, studyPolicies[col])
+		p := repro.NewMachine(k.Program(), studyOptions(params, studyPolicies[col])).Processor()
 		if k.Setup != nil {
 			k.Setup(p.Memory(), p.SetReg)
 		}
@@ -298,18 +269,16 @@ func X3() string {
 	// End-to-end IPC cost.
 	prog := PhasedWorkload(7)
 	params := cpu.DefaultParams()
-	run := func(exact bool) float64 {
-		p := cpu.New(prog, params, nil)
-		m := core.NewManager(p.Fabric(), config.DefaultBasis())
-		m.ExactCEM = exact
-		p.SetManager(&baseline.Steering{M: m})
-		st, err := p.Run(MaxCycles)
+	// The exact-divider selector is the oracle's, at this study's own
+	// reconfiguration latency.
+	run := func(policy cpu.Policy) float64 {
+		st, err := repro.NewMachine(prog, repro.Options{Params: params, Policy: policy}).Run(MaxCycles)
 		if err != nil {
 			return -1
 		}
 		return st.IPC()
 	}
-	a, x := run(false), run(true)
+	a, x := run(cpu.PolicySteering), run(cpu.PolicyOracle)
 	fmt.Fprintf(&b, "\nphased workload IPC: approximate %.3f, exact %.3f (delta %.1f%%)\n",
 		a, x, 100*(x-a)/a)
 	return b.String()
@@ -334,8 +303,7 @@ func X4() string {
 	for _, c := range cases {
 		params := cpu.DefaultParams()
 		params.DisableFFUs = c.disable
-		p := buildMachine(prog, params, c.policy)
-		st, err := p.Run(2_000_000)
+		st, err := repro.NewMachine(prog, studyOptions(params, c.policy)).Run(2_000_000)
 		if err != nil {
 			t.AddRow(c.name, "-", fmt.Sprintf("starved after %d retired", st.Retired))
 			continue
@@ -353,13 +321,13 @@ func X5() string {
 	for _, w := range []int{2, 4, 7, 12, 16, 24, 32} {
 		params := cpu.DefaultParams()
 		params.WindowSize = w
-		p := buildMachine(prog, params, cpu.PolicySteering)
-		st, err := p.Run(MaxCycles)
+		m := repro.NewMachine(prog, studyOptions(params, cpu.PolicySteering))
+		st, err := m.Run(MaxCycles)
 		ipc := -1.0
 		if err == nil {
 			ipc = st.IPC()
 		}
-		t.AddRow(w, fmtIPC(ipc), p.Fabric().Reconfigurations())
+		t.AddRow(w, fmtIPC(ipc), m.Reconfigurations())
 	}
 	return t.String()
 }
@@ -394,15 +362,14 @@ func X6() string {
 	t := stats.NewTable("X6 — steering basis study (phased workload)",
 		"basis", "IPC", "reconfigs", "hybrid cycles")
 	for _, bc := range bases {
-		p := cpu.New(prog, params, nil)
-		m := core.NewManager(p.Fabric(), bc.basis)
-		p.SetManager(&baseline.Steering{M: m})
-		st, err := p.Run(MaxCycles)
+		m := repro.NewMachine(prog, repro.Options{Params: params, Basis: &bc.basis})
+		st, err := m.Run(MaxCycles)
 		ipc := -1.0
 		if err == nil {
 			ipc = st.IPC()
 		}
-		t.AddRow(bc.name, fmtIPC(ipc), p.Fabric().Reconfigurations(), m.Stats().HybridCycles)
+		_, hybrid, _ := m.ConfigurationResidency()
+		t.AddRow(bc.name, fmtIPC(ipc), m.Reconfigurations(), hybrid)
 	}
 	return t.String()
 }
@@ -428,11 +395,9 @@ func X7() string {
 	for _, w := range workloads {
 		row := []interface{}{w.name, fmtIPC(ipcOf(w.prog, params, cpu.PolicySteering))}
 		for _, h := range []int{0, 1, 2} {
-			p := cpu.New(w.prog, params, nil)
-			m := core.NewDemandManager(p.Fabric())
-			m.Hysteresis = h
-			p.SetManager(m)
-			st, err := p.Run(MaxCycles)
+			m := repro.NewMachine(w.prog, studyOptions(params, cpu.PolicyDemand))
+			m.Processor().Manager().(*core.DemandManager).Hysteresis = h
+			st, err := m.Run(MaxCycles)
 			if err != nil {
 				row = append(row, "DNF")
 				continue
@@ -446,14 +411,12 @@ func X7() string {
 
 	// Reconfiguration traffic comparison on the phased workload.
 	prog := PhasedWorkload(7)
-	ps := cpu.New(prog, params, nil)
-	ps.SetManager(baseline.NewSteering(ps.Fabric()))
-	ps.Run(MaxCycles)
-	pd := cpu.New(prog, params, nil)
-	pd.SetManager(core.NewDemandManager(pd.Fabric()))
-	pd.Run(MaxCycles)
+	ms := repro.NewMachine(prog, studyOptions(params, cpu.PolicySteering))
+	ms.Run(MaxCycles)
+	md := repro.NewMachine(prog, studyOptions(params, cpu.PolicyDemand))
+	md.Run(MaxCycles)
 	fmt.Fprintf(&b, "\nreconfiguration spans on phased workload: steering %d, demand-driven %d\n",
-		ps.Fabric().Reconfigurations(), pd.Fabric().Reconfigurations())
+		ms.Reconfigurations(), md.Reconfigurations())
 	return b.String()
 }
 
@@ -483,21 +446,11 @@ func X8() string {
 	var b strings.Builder
 	b.WriteString("X8 — steering adaptation timeline (phased workload: int -> fp -> mem -> mdu -> fp)\n\n")
 
-	prog := PhasedWorkload(7)
-	params := cpu.DefaultParams()
-	p := cpu.New(prog, params, nil)
-	steer := baseline.NewSteering(p.Fabric())
-	p.SetManager(steer)
-
+	m := repro.NewMachine(PhasedWorkload(7), studyOptions(cpu.DefaultParams(), cpu.PolicySteering))
 	const window = 250
-	probe := telemetry.NewProbe(window)
 	col := &telemetry.Collector{}
-	probe.SetExporter(col)
-	p.SetSink(probe)
-
-	for !p.Halted() && p.Stats().Cycles < MaxCycles {
-		p.Cycle()
-	}
+	m.EnableTelemetryExporter(col, window)
+	m.Run(MaxCycles)
 
 	basis := config.DefaultBasis()
 	ffu := config.FFUCounts()
@@ -515,9 +468,9 @@ func X8() string {
 		)
 	}
 	b.WriteString(t.String())
-	mst := steer.M.Stats()
+	sel, hybrid, _ := m.ConfigurationResidency()
 	fmt.Fprintf(&b, "\nselection totals: current=%d integer=%d memory=%d floating=%d, hybrid cycles=%d\n",
-		mst.Selections[0], mst.Selections[1], mst.Selections[2], mst.Selections[3], mst.HybridCycles)
+		sel[0], sel[1], sel[2], sel[3], hybrid)
 	if n := len(col.Decisions); n > 0 {
 		first, last := col.Decisions[0], col.Decisions[n-1]
 		fmt.Fprintf(&b, "steering decisions logged: %d (first %s -> %s at cycle %d, last %s -> %s at cycle %d)\n",
@@ -549,8 +502,7 @@ func X9() string {
 				params := cpu.DefaultParams()
 				params.IssueWidth = width
 				params.SelectFree = selectFree
-				p := buildMachine(w.prog, params, cpu.PolicySteering)
-				st, err := p.Run(MaxCycles)
+				st, err := repro.NewMachine(w.prog, studyOptions(params, cpu.PolicySteering)).Run(MaxCycles)
 				if err != nil {
 					return cpu.Stats{}
 				}
@@ -583,7 +535,7 @@ func X10() string {
 		run := func(lookahead bool) float64 {
 			params := cpu.DefaultParams()
 			params.ManagerLookahead = lookahead
-			p := buildMachine(prog, params, cpu.PolicySteering)
+			p := repro.NewMachine(prog, studyOptions(params, cpu.PolicySteering)).Processor()
 			if setup != nil {
 				setup(p)
 			}
@@ -632,19 +584,19 @@ func X11() string {
 		t := stats.NewTable(fmt.Sprintf("%s: IPC vs minimum residency", w.name),
 			"min residency (cycles)", "IPC", "reconfigs", "suppressed loads")
 		for _, res := range []int{0, 4, 8, 16, 32, 64, 128} {
-			p := cpu.New(w.prog, cpu.DefaultParams(), nil)
-			m := core.NewManager(p.Fabric(), config.DefaultBasis())
-			m.MinResidency = res
-			p.SetManager(&baseline.Steering{M: m})
+			opt := studyOptions(cpu.DefaultParams(), cpu.PolicySteering)
+			opt.MinResidency = res
+			m := repro.NewMachine(w.prog, opt)
+			p := m.Processor()
 			if w.setup != nil {
 				w.setup(p)
 			}
-			st, err := p.Run(MaxCycles)
+			st, err := m.Run(MaxCycles)
 			ipc := -1.0
 			if err == nil {
 				ipc = st.IPC()
 			}
-			t.AddRow(res, fmtIPC(ipc), p.Fabric().Reconfigurations(), m.Stats().SuppressedLoads)
+			t.AddRow(res, fmtIPC(ipc), m.Reconfigurations(), p.Manager().(*baseline.Steering).M.Stats().SuppressedLoads)
 		}
 		b.WriteString(t.String() + "\n")
 	}
@@ -704,7 +656,7 @@ func X13() string {
 		k := workload.KernelByName(kernelNames[r])
 		params := cpu.DefaultParams()
 		params.PredictorEntries = sizes[c]
-		p := buildMachine(k.Program(), params, cpu.PolicySteering)
+		p := repro.NewMachine(k.Program(), studyOptions(params, cpu.PolicySteering)).Processor()
 		if k.Setup != nil {
 			k.Setup(p.Memory(), p.SetReg)
 		}
@@ -732,7 +684,7 @@ func X13() string {
 		run := func(tcWidth int) float64 {
 			params := cpu.DefaultParams()
 			params.FetchWidthTC = tcWidth
-			p := buildMachine(k.Program(), params, cpu.PolicySteering)
+			p := repro.NewMachine(k.Program(), studyOptions(params, cpu.PolicySteering)).Processor()
 			if k.Setup != nil {
 				k.Setup(p.Memory(), p.SetReg)
 			}
@@ -759,8 +711,7 @@ func X14() string {
 	t := stats.NewTable("fraction of cycles by bottleneck",
 		"policy", "issuing", "unit-bound", "dep-bound", "frontend", "IPC")
 	for _, pol := range []cpu.Policy{cpu.PolicySteering, cpu.PolicyStaticInteger, cpu.PolicyStaticFloating, cpu.PolicyNone, cpu.PolicyOracle} {
-		p := buildMachine(prog, cpu.DefaultParams(), pol)
-		st, err := p.Run(MaxCycles)
+		st, err := repro.NewMachine(prog, studyOptions(cpu.DefaultParams(), pol)).Run(MaxCycles)
 		if err != nil {
 			t.AddRow(pol, "DNF", "", "", "", "")
 			continue
@@ -839,10 +790,10 @@ func X16() string {
 			var p *cpu.Processor
 			if name == "branchy-synthetic" {
 				prog := workload.SynthesizeBranchy(200, workload.SynthParams{Seed: 5})
-				p = buildMachine(prog, params, cpu.PolicySteering)
+				p = repro.NewMachine(prog, studyOptions(params, cpu.PolicySteering)).Processor()
 			} else {
 				k := workload.KernelByName(name)
-				p = buildMachine(k.Program(), params, cpu.PolicySteering)
+				p = repro.NewMachine(k.Program(), studyOptions(params, cpu.PolicySteering)).Processor()
 				if k.Setup != nil {
 					k.Setup(p.Memory(), p.SetReg)
 				}
@@ -873,8 +824,8 @@ func X17() string {
 	for _, w := range []int{1, 2, 4, 0} {
 		params := cpu.DefaultParams()
 		params.ConfigBusWidth = w
-		p := buildMachine(prog, params, cpu.PolicySteering)
-		st, err := p.Run(MaxCycles)
+		m := repro.NewMachine(prog, studyOptions(params, cpu.PolicySteering))
+		st, err := m.Run(MaxCycles)
 		ipc := -1.0
 		if err == nil {
 			ipc = st.IPC()
@@ -883,7 +834,7 @@ func X17() string {
 		if w == 0 {
 			label = "unlimited"
 		}
-		t.AddRow(label, fmtIPC(ipc), p.Fabric().Reconfigurations())
+		t.AddRow(label, fmtIPC(ipc), m.Reconfigurations())
 	}
 	b.WriteString(t.String())
 	b.WriteString("\nA single bus (the literal Fig. 1) costs little: steering rarely needs\nmore than one span in flight because deferrals already stagger loads.\n")
@@ -908,12 +859,10 @@ func X18() string {
 		err error
 	}
 	results, series := sweep.Run2(len(policies), 0, func(i int) (outcome, *telemetry.Collector) {
-		p := buildMachine(prog, cpu.DefaultParams(), policies[i])
-		probe := telemetry.NewProbe(interval)
+		m := repro.NewMachine(prog, studyOptions(cpu.DefaultParams(), policies[i]))
 		col := &telemetry.Collector{}
-		probe.SetExporter(col)
-		p.SetSink(probe)
-		st, err := p.Run(MaxCycles)
+		m.EnableTelemetryExporter(col, interval)
+		st, err := m.Run(MaxCycles)
 		return outcome{st, err}, col
 	})
 
@@ -988,7 +937,7 @@ func X19() string {
 		params.FaultTransientRate = pt.rate
 		params.FaultPermanentRate = pt.rate / 10
 		params.FaultSeed = 55
-		p := buildMachine(prog, params, pt.policy)
+		p := repro.NewMachine(prog, studyOptions(params, pt.policy)).Processor()
 		st, err := p.Run(MaxCycles)
 		return outcome{st, err, p.Fabric().FaultStats()}
 	})
@@ -1047,11 +996,10 @@ func X20() string {
 		params := cpu.DefaultParams()
 		params.ReconfigLatency = lats[i]
 		var o outcome
-		ps := buildMachine(prog, params, cpu.PolicySteering)
-		o.steer, o.steerErr = ps.Run(MaxCycles)
-		pp, mgr := buildMachinePolicy(prog, params, cpu.PolicyPrefetch)
-		o.pre, o.preErr = pp.Run(MaxCycles)
-		o.mgrStats = mgr.(*predict.Manager).Core().Stats()
+		o.steer, o.steerErr = repro.NewMachine(prog, studyOptions(params, cpu.PolicySteering)).Run(MaxCycles)
+		pm := repro.NewMachine(prog, studyOptions(params, cpu.PolicyPrefetch))
+		o.pre, o.preErr = pm.Run(MaxCycles)
+		o.mgrStats = pm.Processor().Manager().(*predict.Manager).Core().Stats()
 		return o
 	})
 
@@ -1128,21 +1076,13 @@ func x21Scenarios() []x21Scenario {
 }
 
 // x21Sim runs one scenario under an adaptive policy in the simulator.
+// An exact-CEM scenario steers with the oracle's exact-divider selector
+// at the scenario's own latency.
 func x21Sim(sc x21Scenario, pol cpu.Policy) float64 {
-	p := cpu.New(sc.prog, sc.params, nil)
-	basis := config.DefaultBasis()
-	if sc.basis != nil {
-		basis = *sc.basis
+	if sc.exact && pol == cpu.PolicySteering {
+		pol = cpu.PolicyOracle
 	}
-	switch pol {
-	case cpu.PolicySteering:
-		m := core.NewManager(p.Fabric(), basis)
-		m.ExactCEM = sc.exact
-		p.SetManager(&baseline.Steering{M: m})
-	case cpu.PolicyPrefetch:
-		p.SetManager(predict.NewManagerBasis(p.Fabric(), basis, predict.Config{}))
-	}
-	st, err := p.Run(MaxCycles)
+	st, err := repro.NewMachine(sc.prog, repro.Options{Params: sc.params, Policy: pol, Basis: sc.basis}).Run(MaxCycles)
 	if err != nil {
 		return -1
 	}
@@ -1261,12 +1201,7 @@ func X21() string {
 		p := pts[i]
 		params := cpu.DefaultParams()
 		params.ReconfigLatency = p.lat
-		proc := buildMachine(sc1.prog, params, p.pol)
-		if st, err := proc.Run(MaxCycles); err == nil {
-			p.sim = st.IPC()
-		} else {
-			p.sim = -1
-		}
+		p.sim = ipcOf(sc1.prog, params, p.pol)
 		p.model = x21Model(x21Scenario{prog: sc1.prog, params: params}, p.pol)
 		return p
 	})

@@ -204,13 +204,8 @@ type Manager struct {
 	liveScratch  []config.PlacedUnit
 }
 
-// NewManager builds the prefetch policy over a fabric with the default
-// steering basis.
-func NewManager(fabric *rfu.Fabric, cfg Config) *Manager {
-	return NewManagerBasis(fabric, config.DefaultBasis(), cfg)
-}
-
-// NewManagerBasis builds the prefetch policy with a custom basis.
+// NewManagerBasis builds the prefetch policy over a fabric with the
+// given steering basis (config.DefaultBasis for the paper's Table 1).
 func NewManagerBasis(fabric *rfu.Fabric, basis [3]config.Configuration, cfg Config) *Manager {
 	cfg = cfg.withDefaults()
 	depthShift := -1

@@ -592,15 +592,8 @@ func (s *Server) load(source string, words []uint32) (loadedProgram, error) {
 
 // resolveSpec validates a RunSpec and fills budget defaults in place.
 func (s *Server) resolveSpec(spec *api.RunSpec) error {
-	if !spec.Policy.Valid() {
-		return fmt.Errorf("policy %d out of range: %w", int(spec.Policy), repro.ErrUnknownPolicy)
-	}
-	if err := spec.Params.Validate(); err != nil {
+	if err := spec.Options().Validate(); err != nil {
 		return err
-	}
-	if spec.MinResidency < 0 {
-		return fmt.Errorf("minResidency must be non-negative, got %d: %w",
-			spec.MinResidency, repro.ErrInvalidParams)
 	}
 	switch {
 	case spec.MaxCycles < 0:
@@ -633,12 +626,7 @@ func (s *Server) simulate(ctx context.Context, lp loadedProgram, spec api.RunSpe
 	if s.beforeRun != nil {
 		s.beforeRun()
 	}
-	opt := repro.Options{
-		Params:       spec.Params,
-		Policy:       spec.Policy,
-		Seed:         spec.Seed,
-		MinResidency: spec.MinResidency,
-	}
+	opt := spec.Options()
 	var (
 		machines []*repro.Machine
 		run      func() error
@@ -859,7 +847,7 @@ func (s *Server) handleEstimate(w http.ResponseWriter, r *http.Request) {
 	defer leave()
 
 	start := time.Now()
-	est, err := repro.EstimateIPC(lp.program(), repro.Options{Params: spec.Params, Policy: spec.Policy})
+	est, err := repro.EstimateIPC(lp.program(), spec.Options())
 	solve := time.Since(start)
 	if err != nil {
 		s.fail(w, "estimate", err)

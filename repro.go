@@ -192,13 +192,34 @@ type Options struct {
 	// Seed feeds PolicyRandom.
 	Seed int64
 	// Basis overrides the predefined steering configurations for the
-	// steering, full-reconfig, oracle and static policies (nil uses the
-	// default Table 1 basis).
+	// steering, prefetch, full-reconfig, oracle and static policies (nil
+	// uses the default Table 1 basis). PolicyRandom draws from the
+	// default basis and PolicyDemand synthesises its own
+	// configurations; both ignore it.
 	Basis *Basis
 	// MinResidency suppresses configuration reloads for this many
 	// cycles after each load — the X11 thrash damper. Applies to
-	// PolicySteering and PolicyOracle.
+	// PolicySteering, PolicyPrefetch and PolicyOracle.
 	MinResidency int
+}
+
+// Validate reports whether the options describe a machine NewMachine
+// can build and run: a defined policy, parameters Params.Validate
+// accepts, and a non-negative MinResidency. It is the one spec check of
+// rssd and rsssim; NewMachine itself does not call it. Errors wrap
+// ErrUnknownPolicy or ErrInvalidParams.
+func (o Options) Validate() error {
+	if !o.Policy.Valid() {
+		return fmt.Errorf("policy %d out of range: %w", int(o.Policy), ErrUnknownPolicy)
+	}
+	if err := o.Params.Validate(); err != nil {
+		return err
+	}
+	if o.MinResidency < 0 {
+		return fmt.Errorf("minResidency must be non-negative, got %d: %w",
+			o.MinResidency, ErrInvalidParams)
+	}
+	return nil
 }
 
 // Machine is one simulated processor instance bound to a program.
@@ -212,6 +233,9 @@ type Machine struct {
 }
 
 // NewMachine builds a machine for the program under the given options.
+// It is the one place a Policy becomes a configuration manager. It does
+// not validate: check request-supplied options with Options.Validate
+// first.
 func NewMachine(prog Program, opt Options) *Machine {
 	p := cpu.New(prog, opt.Params, nil)
 	m := &Machine{proc: p, policy: opt.Policy}
@@ -238,6 +262,7 @@ func NewMachine(prog Program, opt Options) *Machine {
 		p.SetManager(fr)
 	case PolicyOracle:
 		o := baseline.NewOracleBasis(p.Fabric(), basis)
+		o.Core().MinResidency = opt.MinResidency
 		p.SetManager(o)
 	case PolicyRandom:
 		r := baseline.NewRandom(p.Fabric(), opt.Seed)

@@ -240,18 +240,42 @@ func TestExampleProgramsRun(t *testing.T) {
 	}
 }
 
+// TestMinResidencyOption: the residency timer reaches every policy
+// Options.MinResidency names — fewer spans are loaded with it than
+// without — and on saxpy it recovers steering's churn loss.
 func TestMinResidencyOption(t *testing.T) {
-	k := KernelByName("saxpy")
-	base, err := RunKernel(k, Options{Policy: PolicySteering}, 50_000_000)
-	if err != nil {
-		t.Fatal(err)
+	run := func(kernel string, policy Policy, residency int) (Stats, int) {
+		t.Helper()
+		k := KernelByName(kernel)
+		m := NewMachine(k.Program(), Options{Policy: policy, MinResidency: residency})
+		k.Setup(m.proc.Memory(), m.proc.SetReg)
+		st, err := m.Run(50_000_000)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := k.Validate(m.proc.Reg, m.proc.Memory()); err != nil {
+			t.Fatal(err)
+		}
+		return st, m.Reconfigurations()
 	}
-	damped, err := RunKernel(k, Options{Policy: PolicySteering, MinResidency: 4}, 50_000_000)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if damped.IPC() <= base.IPC() {
-		t.Errorf("residency damping did not help saxpy: %.3f vs %.3f", damped.IPC(), base.IPC())
+	for _, tc := range []struct {
+		kernel    string
+		policy    Policy
+		residency int
+	}{
+		{"saxpy", PolicySteering, 4},
+		{"sort", PolicyPrefetch, 64},
+		{"sort", PolicyOracle, 64},
+	} {
+		base, baseSpans := run(tc.kernel, tc.policy, 0)
+		damped, dampedSpans := run(tc.kernel, tc.policy, tc.residency)
+		if dampedSpans >= baseSpans {
+			t.Errorf("%s on %s: residency %d loaded %d spans, %d without it",
+				tc.policy, tc.kernel, tc.residency, dampedSpans, baseSpans)
+		}
+		if tc.policy == PolicySteering && damped.IPC() <= base.IPC() {
+			t.Errorf("residency damping did not help saxpy: %.3f vs %.3f", damped.IPC(), base.IPC())
+		}
 	}
 }
 

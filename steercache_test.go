@@ -194,7 +194,7 @@ func TestSteeringCacheSelectionStream(t *testing.T) {
 func runPrefetch(t *testing.T, prog isa.Program, params cpu.Params, disableCache bool) (cpu.Stats, core.Stats, config.AllocationVector) {
 	t.Helper()
 	p := cpu.New(prog, params, nil)
-	m := predict.NewManager(p.Fabric(), predict.Config{})
+	m := predict.NewManagerBasis(p.Fabric(), config.DefaultBasis(), predict.Config{})
 	m.Core().DisableCache = disableCache
 	p.SetManager(m)
 	st, err := p.Run(2_000_000)

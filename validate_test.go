@@ -2,6 +2,7 @@ package repro_test
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"math/rand"
 	"testing"
@@ -145,4 +146,44 @@ func TestValidateImpliesBuildable(t *testing.T) {
 		t.Errorf("only %d of the draws passed Validate; the property is barely exercised", valid)
 	}
 	t.Logf("%d draws passed Validate and ran", valid)
+}
+
+// TestOptionsValidate pins the one spec check rssd and rsssim share:
+// each rule rejects with the sentinel its service error code maps from,
+// and a valid spec — cluster fields and a sized fault campaign included
+// — passes.
+func TestOptionsValidate(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		opt  repro.Options
+		want error // nil: valid
+	}{
+		{"negative MinResidency", repro.Options{MinResidency: -5}, repro.ErrInvalidParams},
+		{"fault rate with scrub interval 0", repro.Options{Params: repro.Params{FaultTransientRate: 0.01}}, repro.ErrInvalidParams},
+		{"policy out of range", repro.Options{Policy: repro.Policy(len(repro.Policies()))}, repro.ErrUnknownPolicy},
+		{"negative policy", repro.Options{Policy: -1}, repro.ErrUnknownPolicy},
+		{"Cores 9", repro.Options{Params: repro.Params{Cores: 9}}, repro.ErrInvalidParams},
+		{"unknown cluster mode", repro.Options{Params: repro.Params{Cores: 2, ClusterMode: "sideways"}}, repro.ErrInvalidParams},
+		{"valid spec", repro.Options{
+			Policy:       repro.PolicyOracle,
+			MinResidency: 64,
+			Params: repro.Params{
+				Cores: 2, ClusterMode: "split", ClusterArbiter: "demand-weighted",
+				FaultTransientRate: 0.01, FaultScrubInterval: 64,
+			},
+		}, nil},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			err := tc.opt.Validate()
+			if tc.want == nil {
+				if err != nil {
+					t.Fatalf("Validate() = %v, want nil", err)
+				}
+				return
+			}
+			if !errors.Is(err, tc.want) {
+				t.Fatalf("Validate() = %v, want an error wrapping %v", err, tc.want)
+			}
+		})
+	}
 }
